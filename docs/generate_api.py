@@ -43,11 +43,29 @@ def first_paragraph(obj) -> str:
     return " ".join(paragraph.split())
 
 
+class _SortedSet:
+    """Stands in for a set default so it renders in sorted order, not
+    hash order (which varies with ``PYTHONHASHSEED``)."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __repr__(self) -> str:
+        items = ", ".join(sorted(repr(item) for item in self.value))
+        if isinstance(self.value, frozenset):
+            return "frozenset({%s})" % items if items else "frozenset()"
+        return "{%s}" % items if items else "set()"
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    return str(signature.replace(parameters=[
+        param.replace(default=_SortedSet(param.default))
+        if isinstance(param.default, (set, frozenset)) else param
+        for param in signature.parameters.values()]))
 
 
 def describe(name: str, obj) -> str:
@@ -97,7 +115,8 @@ def render_package(dotted: str) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
+def render() -> str:
+    """The whole reference as markdown."""
     sections = ["# API reference",
                 "",
                 "Generated by `python docs/generate_api.py` — do not "
@@ -105,9 +124,13 @@ def main() -> None:
                 ""]
     for dotted in PACKAGES:
         sections.append(render_package(dotted))
+    return "\n".join(sections)
+
+
+def main() -> None:
     out_path = os.path.join(os.path.dirname(__file__), "API.md")
     with open(out_path, "w") as fh:
-        fh.write("\n".join(sections))
+        fh.write(render())
     print("wrote %s (%d packages)" % (out_path, len(PACKAGES)))
 
 

@@ -57,6 +57,7 @@ class CoapCode(enum.IntEnum):
     BAD_REQUEST = 0x80    # 4.00
     NOT_FOUND = 0x84      # 4.04
     FORBIDDEN = 0x83      # 4.03
+    METHOD_NOT_ALLOWED = 0x85  # 4.05
     CONFLICT = 0x89       # 4.09 (RFC 8132; the service faces map
                           # HTTP 409 onto it)
     INTERNAL_SERVER_ERROR = 0xA0  # 5.00

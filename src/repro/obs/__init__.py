@@ -1,10 +1,10 @@
 """Observability: tracing, metrics, black boxes, and the telemetry plane.
 
 The flight-recorder layer of the reproduction (the FOTA survey's
-"campaign monitoring" requirement): :mod:`repro.obs.trace` records
-virtual-clock spans exportable as Chrome-trace JSON,
-:mod:`repro.obs.asynctrace` is its wall-clock sibling for the serve
-plane (contextvars span context, W3C-style traceparent propagation),
+"campaign monitoring" requirement): :mod:`repro.obs.trace` is the one
+tracer for both clocks — a device's virtual clock and the serve
+plane's wall clock — with contextvars span parenting, W3C-style
+traceparent propagation and Chrome-trace export;
 :mod:`repro.obs.metrics` is a dependency-free counter/gauge/histogram
 registry that also *surfaces* the existing bespoke stats objects, and
 :mod:`repro.obs.blackbox` persists lifecycle events through simulated
@@ -51,22 +51,17 @@ from .slo import (
     WaveVerdict,
     percentile,
 )
-from .asynctrace import (
-    AsyncSpan,
-    AsyncTracer,
-    NULL_ASYNC_TRACER,
-    TRACEPARENT_HEADER,
-    format_traceparent,
-    new_trace_id,
-    parse_traceparent,
-)
 from .timeseries import FleetScraper, Point, Series, TimeSeriesStore
 from .trace import (
     NULL_TRACER,
     Span,
+    TRACEPARENT_HEADER,
     Tracer,
     containment_errors,
+    format_traceparent,
     merge_chrome_traces,
+    new_trace_id,
+    parse_traceparent,
 )
 
 __all__ = [
@@ -108,9 +103,6 @@ __all__ = [
     "Tracer",
     "containment_errors",
     "merge_chrome_traces",
-    "AsyncSpan",
-    "AsyncTracer",
-    "NULL_ASYNC_TRACER",
     "TRACEPARENT_HEADER",
     "format_traceparent",
     "new_trace_id",

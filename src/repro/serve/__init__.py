@@ -2,13 +2,17 @@
 
 :mod:`repro.serve.service` is the protocol-agnostic brain (device
 registry, single-use tokens, channels, ranged chunks, WAL-backed
-campaign CRUD); :mod:`repro.serve.httpd` and
-:mod:`repro.serve.coapface` are its HTTP/1.1 and simulated-CoAP
-codecs; :mod:`repro.serve.telemetry` is the faces' shared
-request-scoped observability (access log, per-route histograms,
-event-loop watchdog); :mod:`repro.serve.signing` is the off-loop
-signer pool both faces dispatch ECDSA work through.  See DESIGN.md
-"Service plane" and "Serve-plane fast path".
+campaign CRUD).  :mod:`repro.serve.routes` holds the one route table
+both faces serve — method, path template, service method, success
+status, offload class — and the request pipeline that runs it
+(matching, argument parsing, error mapping, offload, tracing, request
+accounting).  :mod:`repro.serve.httpd` and :mod:`repro.serve.coapface`
+are thin HTTP/1.1 and simulated-CoAP framings over that pipeline;
+:mod:`repro.serve.telemetry` is the faces' shared request-scoped
+observability (access log, per-route histograms, event-loop
+watchdog); :mod:`repro.serve.signing` is the off-loop signer pool
+signing routes dispatch through.  See DESIGN.md "Service plane" and
+"Serve-plane fast path".
 """
 
 from .coapface import (

@@ -10,23 +10,19 @@ al.): the resource name is the token, each Block2 exchange names an
 absolute chunk, and any block may be re-requested after a loss —
 which is exactly the service layer's overlapping-range contract.
 
-Request surface (URI paths mirror the HTTP routes)::
+The face serves the CoAP-exposed entries of
+:data:`~repro.serve.routes.ROUTES` (register, token, manifest, image,
+report, healthz; URI paths mirror the HTTP routes).  Routing, error
+mapping, signer offload, tracing and request accounting are the
+shared pipeline of :mod:`repro.serve.routes`; this module is
+datagram decode, §4.2 dedup and Block2 framing.  Success codes derive
+from the route's status — 201 is 2.01 Created, a POST's 200 is 2.04
+Changed, a GET's 200 is 2.05 Content — and errors carry the service's
+structured JSON body with the closest CoAP code
+(4.00/4.03/4.04/4.05/4.09), so a client can branch on ``error.code``
+identically over either protocol.
 
-    POST devices                    register (JSON payload)
-    POST devices/{id}/token         single-use token
-    GET  manifests/{token}          envelope + digest (JSON, Block2)
-    GET  images/{token}             payload bytes (Block2 named chunks)
-    POST reports/{token}            outcome report
-    GET  healthz                    liveness (same body as HTTP)
-
-Errors carry the service's structured JSON body as the diagnostic
-payload with the closest CoAP code (4.00/4.03/4.04/4.09), so a client
-can branch on ``error.code`` identically over either protocol.
-
-Observability (PR 9): requests land in the same
-:class:`~repro.serve.telemetry.ServeTelemetry` shape as the HTTP face
-(route/status access-log lines, per-route histograms into the
-service's registry), and trace context crosses the datagram as the
+Observability: trace context crosses the datagram as the
 elective :data:`~repro.net.coap.CoapOption.TRACEPARENT` option.  A
 CON retransmission reuses the *encoded* datagram, so one logical
 request keeps one trace_id no matter how many times the response was
@@ -38,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import secrets
 from collections import OrderedDict
 from hashlib import sha256
 from typing import Dict, Optional, Tuple
@@ -51,7 +48,8 @@ from ..net.coap import (
     CoapType,
     VERSION,
 )
-from ..obs.asynctrace import NULL_ASYNC_TRACER, parse_traceparent
+from ..obs.trace import NULL_TRACER
+from .routes import RoutedFace
 from .service import FleetService, ServiceError
 from .telemetry import ServeTelemetry
 
@@ -64,26 +62,13 @@ _STATUS_TO_COAP = {
     400: CoapCode.BAD_REQUEST,
     403: CoapCode.FORBIDDEN,
     404: CoapCode.NOT_FOUND,
+    405: CoapCode.METHOD_NOT_ALLOWED,
     409: CoapCode.CONFLICT,
     416: CoapCode.BAD_REQUEST,
 }
 
-#: Access-log statuses derived from the encoded response's code byte
-#: (byte 1 of any RFC 7252 header) — HTTP-ish numbers keep the two
-#: faces' log lines directly comparable.
-_COAP_CODE_TO_STATUS = {
-    int(CoapCode.CREATED): 201,
-    int(CoapCode.CHANGED): 200,
-    int(CoapCode.CONTENT): 200,
-    int(CoapCode.BAD_REQUEST): 400,
-    int(CoapCode.FORBIDDEN): 403,
-    int(CoapCode.NOT_FOUND): 404,
-    int(CoapCode.CONFLICT): 409,
-    int(CoapCode.INTERNAL_SERVER_ERROR): 500,
-}
 
-
-class CoapFront:
+class CoapFront(RoutedFace):
     """Datagram-in, datagram-out codec over one FleetService.
 
     Implements RFC 7252 §4.2 deduplication: a CON retransmission
@@ -94,21 +79,25 @@ class CoapFront:
     and strand the device.
 
     Message IDs are scoped *per endpoint* (RFC 7252 §4.4): the dedup
-    key includes the source endpoint passed into :meth:`handle`, so
-    two clients that happen to emit the same token/MID sequence —
-    deterministic client stacks do — never see each other's cached
-    responses.
+    key includes the source endpoint passed into
+    :meth:`handle_datagram`, so two clients that happen to emit the
+    same token/MID pair never see each other's cached responses.
+
+    A retransmission arriving *while* the original is still being
+    served (e.g. a manifest resolution waiting on the signer pool)
+    re-executes the route — safe, because manifest resolution is
+    idempotent while the token is open (concurrent resolutions await
+    one in-flight preparation in the service); non-idempotent POSTs
+    run inline and finish before the next datagram is read.
     """
 
+    proto = "coap"
     DEDUP_WINDOW = 1024
 
     def __init__(self, service: FleetService,
                  telemetry: Optional[ServeTelemetry] = None,
                  tracer=None) -> None:
-        self.service = service
-        self.telemetry = telemetry \
-            or ServeTelemetry(service.metrics)
-        self.tracer = tracer or NULL_ASYNC_TRACER
+        super().__init__(service, telemetry, tracer)
         self._dedup_hits = service.metrics.counter(
             "serve.coap_dedup_hits",
             "retransmissions answered from the dedup cache")
@@ -117,93 +106,30 @@ class CoapFront:
         #: Encoded Block2+Size2 option bytes keyed by
         #: (num, more, size, total): every image response for the same
         #: block geometry reuses the serialized prefix instead of
-        #: re-running delta option encoding (see :meth:`_image`).
+        #: re-running delta option encoding (see :meth:`_block`).
         self._block_options: Dict[Tuple[int, bool, int, int], bytes] \
             = {}
 
-    def handle(self, datagram: bytes,
-               endpoint: bytes = b"") -> bytes:
-        """Process one encoded request from ``endpoint`` (the source
-        address on a real UDP socket); always returns a response
-        datagram (malformed requests get a 4.00, never silence).
-
-        Synchronous — everything (including any ECDSA) runs on the
-        calling thread.  The relay's async path
-        (:meth:`handle_datagram`) offloads signing routes to the
-        service's signer pool instead.
-        """
-        started = self.telemetry.now_fn()
-        request, error = self._decode(datagram, started)
-        if request is None:
-            return error
-        key, cached = self._dedup_lookup(endpoint, request)
-        if cached is not None:
-            return cached
-        route = _coap_route_label(request)
-        self.telemetry.request_started()
-        response, status, trace_id = self._execute(request, started,
-                                                   route)
-        self._finish(key, response, status, route, started, trace_id)
-        return response
-
     async def handle_datagram(self, datagram: bytes,
                               endpoint: bytes = b"") -> bytes:
-        """:meth:`handle`, but signing routes (manifest resolution)
-        run on the service's signer pool so the event loop never
-        blocks on scalar multiplication.
-
-        Dedup bookkeeping stays on the loop thread.  A retransmission
-        arriving *while* the original is still signing re-executes the
-        route — safe, because manifest resolution is idempotent while
-        the token is open (concurrent resolutions await one in-flight
-        preparation in the service); non-idempotent POSTs keep the
-        strictly atomic inline path.
-        """
+        """Process one encoded request from ``endpoint`` (the source
+        address on a real UDP socket); always returns a response
+        datagram (malformed requests get a 4.00, never silence)."""
         started = self.telemetry.now_fn()
-        request, error = self._decode(datagram, started)
-        if request is None:
-            return error
-        key, cached = self._dedup_lookup(endpoint, request)
-        if cached is not None:
-            return cached
-        route = _coap_route_label(request)
-        self.telemetry.request_started()
-        if self._needs_signer(request):
-            response, status, trace_id = \
-                await self.service.signer.dispatch(
-                    self._execute, request, started, route)
-        else:
-            response, status, trace_id = self._execute(request,
-                                                       started, route)
-        self._finish(key, response, status, route, started, trace_id)
-        return response
-
-    @staticmethod
-    def _needs_signer(request: CoapMessage) -> bool:
-        if request.code != CoapCode.GET:
-            return False
-        parts = [p for p in request.uri_path().split("/") if p]
-        return len(parts) == 2 and parts[0] == "manifests"
-
-    def _decode(self, datagram: bytes, started: float
-                ) -> Tuple[Optional[CoapMessage], Optional[bytes]]:
         try:
-            return CoapMessage.decode(datagram), None
+            request = CoapMessage.decode(datagram)
         except CoapError as exc:
             response = CoapMessage(
                 mtype=CoapType.ACK, code=CoapCode.BAD_REQUEST,
                 message_id=0,
-                payload=_error_body("bad-datagram", 400,
-                                    str(exc))).encode()
+                payload=_json({"error": {"code": "bad-datagram",
+                                         "status": 400,
+                                         "detail": str(exc)}})).encode()
             self.telemetry.request_started()
             self.telemetry.observe_request(
                 "coap", "<bad-datagram>", 400, len(response),
                 self.telemetry.now_fn() - started)
-            return None, response
-
-    def _dedup_lookup(self, endpoint: bytes, request: CoapMessage
-                      ) -> Tuple[Tuple[bytes, bytes, int],
-                                 Optional[bytes]]:
+            return response
         key = (endpoint, request.token, request.message_id)
         cached = self._seen.get(key)
         if cached is not None:
@@ -215,129 +141,80 @@ class CoapFront:
                 self.tracer.instant("coap.dedup",
                                     category="serve.coap",
                                     args={"mid": request.message_id})
-            return key, cached
-        return key, None
-
-    def _execute(self, request: CoapMessage, started: float,
-                 route: str) -> Tuple[bytes, int, Optional[str]]:
-        """Route the request and build its response under the request
-        span — runs inline (sync path) or on a signer-pool worker."""
-        tracer = self.tracer
-        remote = None
-        if tracer.enabled:
+            return cached
+        traceparent = None
+        if self.tracer.enabled:
             raw = request.option(CoapOption.TRACEPARENT)
             if raw:
-                try:
-                    remote = parse_traceparent(raw.decode("ascii"))
-                except UnicodeDecodeError:
-                    remote = None
-        span_args = {"route": route}
-        if remote is not None:
-            span_args["remote_parent_id"] = remote[1]
-        with tracer.span("coap.request", category="serve.coap",
-                         start=started,
-                         trace_id=remote[0] if remote else None,
-                         **span_args) as root:
-            try:
-                response = self._route(request)
-                status = _COAP_CODE_TO_STATUS.get(response[1], 200)
-            except ServiceError as exc:
-                status = exc.status
-                response = self._error(request, exc.status,
-                                       json.dumps(exc.to_body(),
-                                                  sort_keys=True)
-                                       .encode("utf-8"))
-            except Exception as exc:
-                status = 500
-                response = CoapMessage(
-                    mtype=CoapType.ACK,
-                    code=CoapCode.INTERNAL_SERVER_ERROR,
-                    message_id=request.message_id, token=request.token,
-                    payload=_error_body(
-                        "internal", 500,
-                        "%s: %s" % (type(exc).__name__, exc))).encode()
-            if root is not None:
-                root.args["status"] = status
-        return response, status, \
-            (root.trace_id if root is not None else None)
-
-    def _finish(self, key: Tuple[bytes, bytes, int], response: bytes,
-                status: int, route: str, started: float,
-                trace_id: Optional[str]) -> None:
+                traceparent = raw.decode("ascii", "replace")
+        block = request.block2() or Block(num=0, more=False,
+                                          size=DEFAULT_BLOCK_SIZE)
+        response = await self._serve(
+            (request, block), request.code.name, request.uri_path(),
+            request.payload, started, traceparent)
         self._seen[key] = response
         while len(self._seen) > self.DEDUP_WINDOW:
             self._seen.popitem(last=False)
-        self.telemetry.observe_request(
-            "coap", route, status, len(response),
-            self.telemetry.now_fn() - started, trace_id=trace_id)
+        return response
 
-    # -- routing ---------------------------------------------------------------
+    # -- framing hooks ---------------------------------------------------------
 
-    def _route(self, request: CoapMessage) -> bytes:
-        parts = [p for p in request.uri_path().split("/") if p]
-        service = self.service
-        if request.code == CoapCode.POST:
-            if parts == ["devices"]:
-                return self._json_reply(
-                    request, CoapCode.CREATED,
-                    self._call(service.register_device,
-                               _json_payload(request)))
-            if len(parts) == 3 and parts[0] == "devices" \
-                    and parts[2] == "token":
-                body = _json_payload(request, optional=True)
-                return self._json_reply(
-                    request, CoapCode.CHANGED,
-                    self._call(service.issue_token,
-                               _device_id(parts[1]),
-                               bool(body.get("supports_differential",
-                                             False))))
-            if len(parts) == 2 and parts[0] == "reports":
-                return self._json_reply(
-                    request, CoapCode.CHANGED,
-                    self._call(service.close_token, parts[1],
-                               _json_payload(request)))
+    def chunk_range(self, raw: Tuple[CoapMessage, Block]
+                    ) -> Tuple[int, int]:
+        """Named chunks: Block2 names an absolute payload range."""
+        block = raw[1]
+        return block.num * block.size, block.size
+
+    async def _respond(self, raw: Tuple[CoapMessage, Block],
+                       status: int, payload: object
+                       ) -> Tuple[int, int, bytes]:
+        request, block = raw
+        try:
+            response = self._encode(request, block, status, payload)
+        except ServiceError as exc:      # a Block2 past the resource
+            status = exc.status
+            response = self._encode(request, block, status,
+                                    exc.to_body())
+        return status, len(response), response
+
+    def _encode(self, request: CoapMessage, block: Block, status: int,
+                payload: object) -> bytes:
+        if status >= 400:
+            code = _STATUS_TO_COAP.get(status,
+                                       CoapCode.INTERNAL_SERVER_ERROR)
+        elif isinstance(payload, tuple):
+            # A payload chunk: the slice Block2 named, no copy.
+            return self._block(request, block, *payload)
         elif request.code == CoapCode.GET:
-            if parts == ["healthz"]:
-                body = json.dumps(
-                    service.health_snapshot(self.telemetry),
-                    sort_keys=True).encode("utf-8")
-                return self._blockwise(request, body)
-            if len(parts) == 2 and parts[0] == "manifests":
-                # The service pre-serializes the canonical
-                # (sort_keys) JSON once per token; both faces serve
-                # those exact bytes.
-                body = self._call(service.resolve_manifest_encoded,
-                                  parts[1])
-                return self._blockwise(request, body)
-            if len(parts) == 2 and parts[0] == "images":
-                return self._image(request, parts[1])
-        raise ServiceError("unknown-route", 404,
-                           "%s %s is not a service endpoint"
-                           % (request.code.name, "/".join(parts)))
+            # Other GET resources go out Block2-wise; the manifest
+            # arrives pre-serialized (the canonical JSON the service
+            # encodes once per token), so both faces serve those bytes.
+            body = payload if isinstance(payload, bytes) \
+                else _json(payload)
+            start = block.num * block.size
+            if start > len(body):
+                raise ServiceError("range-unsatisfiable", 416,
+                                   "block %d past end of %d-byte "
+                                   "resource" % (block.num, len(body)))
+            return self._block(request, block,
+                               body[start:start + block.size], len(body))
+        else:
+            code = CoapCode.CREATED if status == 201 else CoapCode.CHANGED
+        return CoapMessage(
+            mtype=CoapType.ACK, code=code,
+            message_id=request.message_id, token=request.token,
+            payload=_json(payload)).encode()
 
-    def _call(self, fn, *args):
-        """A service call traced as ``service.<name>`` (same span
-        naming as the HTTP face, so merged traces read uniformly)."""
-        with self.tracer.span("service.%s" % fn.__name__,
-                              category="serve.service"):
-            return fn(*args)
+    def _block(self, request: CoapMessage, block: Block, data,
+               total: int) -> bytes:
+        """One 2.05 Block2 response — the hot path of a download.
 
-    def _image(self, request: CoapMessage, token_hex: str) -> bytes:
-        """Named-chunk GET: Block2 names an absolute payload range.
-
-        The hot path of a swarm download.  The payload slice arrives
-        as a :class:`memoryview` (no copy in the service) and the
-        encoded Block2+Size2 option bytes are cached per block
-        geometry, so the response datagram is assembled with a single
-        ``join`` — header, token, cached options, marker, slice —
-        instead of re-encoding a :class:`CoapMessage` per chunk.
+        The encoded Block2+Size2 option bytes are cached per block
+        geometry, so the datagram is assembled with a single ``join``
+        — header, token, cached options, marker, slice — instead of
+        re-encoding a :class:`CoapMessage` per chunk.
         """
-        block = request.block2() or Block(num=0, more=False,
-                                          size=DEFAULT_BLOCK_SIZE)
-        offset = block.num * block.size
-        data, total = self._call(self.service.read_chunk, token_hex,
-                                 offset, block.size)
-        more = offset + len(data) < total
+        more = block.num * block.size + len(data) < total
         options = self._block_option_bytes(block.num, more,
                                            block.size, total)
         header = bytes((
@@ -371,44 +248,6 @@ class CoapFront:
                 self._block_options.clear()
             self._block_options[key] = cached
         return cached
-
-    def _blockwise(self, request: CoapMessage, body: bytes) -> bytes:
-        block = request.block2() or Block(num=0, more=False,
-                                          size=DEFAULT_BLOCK_SIZE)
-        start = block.num * block.size
-        if start > len(body):
-            raise ServiceError("range-unsatisfiable", 416,
-                               "block %d past end of %d-byte resource"
-                               % (block.num, len(body)))
-        chunk = body[start:start + block.size]
-        more = start + block.size < len(body)
-        response = CoapMessage(
-            mtype=CoapType.ACK, code=CoapCode.CONTENT,
-            message_id=request.message_id, token=request.token,
-            payload=chunk)
-        response.add_option(
-            CoapOption.BLOCK2,
-            Block(num=block.num, more=more, size=block.size).encode())
-        response.add_option(CoapOption.SIZE2,
-                            len(body).to_bytes(4, "big"))
-        return response.encode()
-
-    def _json_reply(self, request: CoapMessage, code: CoapCode,
-                    body: Dict[str, object]) -> bytes:
-        return CoapMessage(
-            mtype=CoapType.ACK, code=code,
-            message_id=request.message_id, token=request.token,
-            payload=json.dumps(body, sort_keys=True)
-            .encode("utf-8")).encode()
-
-    def _error(self, request: CoapMessage, status: int,
-               payload: bytes) -> bytes:
-        return CoapMessage(
-            mtype=CoapType.ACK,
-            code=_STATUS_TO_COAP.get(status,
-                                     CoapCode.INTERNAL_SERVER_ERROR),
-            message_id=request.message_id, token=request.token,
-            payload=payload).encode()
 
 
 class CoapDatagramRelay:
@@ -460,13 +299,14 @@ class CoapDeviceClient:
         self.channel = channel
         self.block_size = block_size
         self.max_retries = max_retries
-        self.tracer = tracer or NULL_ASYNC_TRACER
-        # The client's source address: every client must present a
-        # distinct endpoint, because its deterministic token/MID
-        # sequence is only unique within that scope.
+        self.tracer = tracer or NULL_TRACER
+        # The client's source address scopes the front's dedup cache.
+        # Message IDs and tokens start at random values (RFC 7252
+        # §4.4, §5.3.1), so a later session from the same endpoint
+        # never collides with the earlier one's cached responses.
         self.endpoint = b"coap-ep-%d" % device_id
-        self._mid = 0
-        self._token_counter = 0
+        self._mid = secrets.randbits(16)
+        self._token_counter = secrets.randbits(32)
 
     async def run_session(self) -> Dict[str, object]:
         with self.tracer.span("device.session", category="device",
@@ -516,7 +356,7 @@ class CoapDeviceClient:
 
     def _request(self, code: CoapCode, path: str) -> CoapMessage:
         self._mid = (self._mid + 1) & 0xFFFF
-        self._token_counter += 1
+        self._token_counter = (self._token_counter + 1) & 0xFFFFFFFF
         message = CoapMessage(
             mtype=CoapType.CON, code=code, message_id=self._mid,
             token=self._token_counter.to_bytes(4, "big"))
@@ -540,54 +380,37 @@ class CoapDeviceClient:
             request.payload = json.dumps(body, sort_keys=True) \
                 .encode("utf-8")
             response = await self._exchange(request)
-        parsed = json.loads(response.payload.decode("utf-8")) \
-            if response.payload else {}
         if response.code not in (CoapCode.CONTENT, CoapCode.CHANGED,
                                  CoapCode.CREATED):
-            raise ServiceError(
-                str(parsed.get("error", {}).get("code", "coap")),
-                int(parsed.get("error", {}).get("status", 500)),
-                str(parsed.get("error", {}).get("detail",
-                                                response.code.name)))
-        return parsed
+            raise _service_error(response)
+        return _parse(response)
 
     async def _get_blockwise(self, path: str,
                              expected: Optional[int] = None) -> bytes:
         """Named-chunk download; lost responses re-request the same
         absolute block — overlap the service must (and does) allow."""
-        with self.tracer.span("coap.get", category="device",
-                              resource=path.split("/")[0]):
-            return await self._get_blocks(path, expected)
-
-    async def _get_blocks(self, path: str,
-                          expected: Optional[int] = None) -> bytes:
         chunks: Dict[int, bytes] = {}
         num = 0
         total: Optional[int] = expected
-        while True:
-            request = self._request(CoapCode.GET, path)
-            request.add_option(
-                CoapOption.BLOCK2,
-                Block(num=num, more=False,
-                      size=self.block_size).encode())
-            response = await self._exchange(request)
-            if response.code != CoapCode.CONTENT:
-                parsed = json.loads(
-                    response.payload.decode("utf-8")) \
-                    if response.payload else {}
-                error = parsed.get("error", {})
-                raise ServiceError(str(error.get("code", "coap")),
-                                   int(error.get("status", 500)),
-                                   str(error.get("detail",
-                                                 response.code.name)))
-            chunks[num] = response.payload
-            size2 = response.option(CoapOption.SIZE2)
-            if size2 is not None:
-                total = int.from_bytes(size2, "big")
-            block = response.block2()
-            if block is None or not block.more:
-                break
-            num += 1
+        with self.tracer.span("coap.get", category="device",
+                              resource=path.split("/")[0]):
+            while True:
+                request = self._request(CoapCode.GET, path)
+                request.add_option(
+                    CoapOption.BLOCK2,
+                    Block(num=num, more=False,
+                          size=self.block_size).encode())
+                response = await self._exchange(request)
+                if response.code != CoapCode.CONTENT:
+                    raise _service_error(response)
+                chunks[num] = response.payload
+                size2 = response.option(CoapOption.SIZE2)
+                if size2 is not None:
+                    total = int.from_bytes(size2, "big")
+                block = response.block2()
+                if block is None or not block.more:
+                    break
+                num += 1
         body = b"".join(chunks[i] for i in sorted(chunks))
         if total is not None and len(body) != total:
             raise CoapError("assembled %d bytes, resource is %d"
@@ -595,55 +418,18 @@ class CoapDeviceClient:
         return body
 
 
-def _json_payload(request: CoapMessage,
-                  optional: bool = False) -> Dict[str, object]:
-    if not request.payload:
-        if optional:
-            return {}
-        raise ServiceError("invalid-body", 400,
-                           "a JSON payload is required")
-    try:
-        parsed = json.loads(request.payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ServiceError("invalid-body", 400,
-                           "payload is not valid JSON: %s" % exc)
-    if not isinstance(parsed, dict):
-        raise ServiceError("invalid-body", 400,
-                           "payload must be a JSON object")
-    return parsed
+def _json(body: object) -> bytes:
+    return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
-def _coap_route_label(request: CoapMessage) -> str:
-    """Bounded route label for access logs/metrics (no token hex)."""
-    try:
-        method = CoapCode(request.code).name
-    except ValueError:             # pragma: no cover - codec rejects
-        method = str(int(request.code))
-    parts = [p for p in request.uri_path().split("/") if p]
-    if not parts:
-        return "%s <other>" % method
-    head = parts[0]
-    if head == "healthz" and len(parts) == 1:
-        return "%s healthz" % method
-    if head == "devices":
-        if len(parts) == 1:
-            return "%s devices" % method
-        if len(parts) == 3 and parts[2] == "token":
-            return "%s devices/{id}/token" % method
-    if head in ("manifests", "images", "reports") and len(parts) == 2:
-        return "%s %s/{token}" % (method, head)
-    return "%s <other>" % method
+def _parse(response: CoapMessage) -> Dict[str, object]:
+    return json.loads(response.payload.decode("utf-8")) \
+        if response.payload else {}
 
 
-def _device_id(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ServiceError("invalid-device-id", 400,
-                           "device id must be an integer")
-
-
-def _error_body(code: str, status: int, detail: str) -> bytes:
-    return json.dumps({"error": {"code": code, "status": status,
-                                 "detail": detail}},
-                      sort_keys=True).encode("utf-8")
+def _service_error(response: CoapMessage) -> ServiceError:
+    """The structured error an error response carries."""
+    error = _parse(response).get("error", {})
+    return ServiceError(str(error.get("code", "coap")),
+                        int(error.get("status", 500)),
+                        str(error.get("detail", response.code.name)))

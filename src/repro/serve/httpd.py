@@ -3,40 +3,24 @@
 A deliberately small server — request line, headers, Content-Length
 bodies, keep-alive — because constrained-device update traffic *is*
 small: five JSON endpoints and one binary range endpoint per session.
-Every route is a thin codec over :class:`~repro.serve.service
-.FleetService`; no behaviour lives here.
+Routing, argument parsing, error mapping, offload, tracing and request
+accounting all live in the shared pipeline of
+:mod:`repro.serve.routes`; this module is HTTP framing only.
 
-Routes (management shapes modeled on moonraker's update_manager)::
-
-    GET    /                          service + endpoint directory
-    GET    /channels                  release channels + server stats
-    POST   /devices                   register {device_id, channel, ...}
-    GET    /devices/{id}              registry entry
-    POST   /devices/{id}/token        single-use token (409 on a race)
-    GET    /manifests/{token}         double-signed envelope + digest
-    GET    /images/{token}            payload bytes; Range honoured
-    POST   /reports/{token}           outcome report (burns the token)
-    GET    /campaigns[/{name}]        campaign list / status
-    POST   /campaigns                 create + start (WAL-backed)
-    POST   /campaigns/{name}/refresh  re-drive a paused remainder
-    POST   /campaigns/{name}/resume   resurrect from the WAL
-    DELETE /campaigns/{name}          drop a finished campaign
-    GET    /metrics                   OpenMetrics (chunked, typed)
-    GET    /healthz                   liveness + loop-lag p99
+The routes — device sessions, campaign CRUD (management shapes
+modeled on moonraker's update_manager), ``/metrics`` and ``/healthz``
+— are the table :data:`~repro.serve.routes.ROUTES`; ``GET /`` lists
+it.
 
 Errors are :class:`~repro.serve.service.ServiceError` bodies verbatim:
 ``{"error": {"code", "status", "detail"}}`` — the CoAP face serializes
 the same object, so a client's error handling is protocol-portable.
 
-Observability (PR 9): every request is measured into a
-:class:`~repro.serve.telemetry.ServeTelemetry` (access log, per-route
-histograms, in-flight gauge) and — when an
-:class:`~repro.obs.asynctrace.AsyncTracer` is enabled — traced as a
-``parse -> handle -> service.* -> respond`` span tree.  An incoming
-W3C ``traceparent`` header grafts the request into the caller's trace
-(same trace_id, remote parent recorded in args), and
-:meth:`HttpServer._offload` copies the contextvars context into the
-executor so campaign calls appear as children of their request.  An
+What stays here: one ``readuntil`` per request head, the Range header
+or ``offset=&length=`` query (206 with Content-Range), chunked
+``/metrics``, cached response-header prefixes, and ``writelines``
+zero-copy writes of payload slices.  The ``traceparent`` header feeds
+the pipeline's trace grafting, and an
 :class:`~repro.serve.telemetry.EventLoopWatchdog` runs for the
 server's lifetime, sampling scheduling lag into ``/metrics`` and
 ``/healthz``.
@@ -45,15 +29,12 @@ server's lifetime, sampling scheduling lag into ``/metrics`` and
 from __future__ import annotations
 
 import asyncio
-import contextvars
-import functools
 import json
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..obs.asynctrace import NULL_ASYNC_TRACER, TRACEPARENT_HEADER, \
-    parse_traceparent
 from ..obs.export import OPENMETRICS_CONTENT_TYPE
+from ..obs.trace import TRACEPARENT_HEADER
+from .routes import RoutedFace
 from .service import FleetService, ServiceError
 from .telemetry import EventLoopWatchdog, ServeTelemetry
 
@@ -70,29 +51,38 @@ _STATUS_TEXT = {200: "OK", 201: "Created", 206: "Partial Content",
 #: OpenMetrics conformance test asserts the ``# EOF`` terminator
 #: survives re-assembly from chunk frames.
 METRICS_CHUNK_BYTES = 512
+_JSON = "application/json; charset=utf-8"
+_OCTETS = "application/octet-stream"
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, code: str, detail: str) -> None:
-        super().__init__(detail)
-        self.status = status
-        self.body = {"error": {"code": code, "status": status,
-                               "detail": detail}}
+class _HttpRequest:
+    """One framed request plus what its response needs to know."""
+
+    __slots__ = ("writer", "headers", "query", "close", "offset",
+                 "ranged")
+
+    def __init__(self, writer: asyncio.StreamWriter,
+                 headers: Dict[str, str], query: str) -> None:
+        self.writer = writer
+        self.headers = headers
+        self.query = query
+        self.close = headers.get("connection", "").lower() == "close"
+        self.offset = 0
+        self.ranged = False
 
 
-class HttpServer:
+class HttpServer(RoutedFace):
     """``asyncio.start_server`` front end over one FleetService."""
+
+    proto = "http"
 
     def __init__(self, service: FleetService,
                  host: str = "127.0.0.1", port: int = 0,
                  telemetry: Optional[ServeTelemetry] = None,
                  tracer=None) -> None:
-        self.service = service
+        super().__init__(service, telemetry, tracer)
         self.host = host
         self.port = port
-        self.telemetry = telemetry \
-            or ServeTelemetry(service.metrics)
-        self.tracer = tracer or NULL_ASYNC_TRACER
         self._watchdog = EventLoopWatchdog(self.telemetry)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
@@ -140,28 +130,23 @@ class HttpServer:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    alive = await self._next_request(reader, writer)
                 except (asyncio.IncompleteReadError,
                         ConnectionResetError, asyncio.LimitOverrunError):
                     break
-                except _HttpError as exc:
+                except ServiceError as exc:
                     # The request never framed (bad request line, bad
                     # or oversized Content-Length), so the stream
                     # position is unknown: answer and close.
                     self.telemetry.request_started()
-                    nbytes = 0
-                    try:
-                        nbytes = await self._write_response(
-                            writer, exc.status, exc.body, {}, True)
-                    except (ConnectionResetError, BrokenPipeError):
-                        pass
+                    _status, nbytes, _alive = await self._respond(
+                        _HttpRequest(writer, {"connection": "close"}, ""),
+                        exc.status, exc.to_body())
                     self.telemetry.observe_request(
                         "http", "<bad-request>", exc.status, nbytes,
                         0.0)
                     break
-                if request is None:
-                    break
-                if not await self._serve_request(writer, request):
+                if not alive:
                     break
         except asyncio.CancelledError:
             pass
@@ -181,77 +166,11 @@ class HttpServer:
             if task is not None:
                 self._conn_tasks.discard(task)
 
-    async def _serve_request(self, writer: asyncio.StreamWriter,
-                             request: Tuple[str, str, Dict[str, str],
-                                            bytes, float]) -> bool:
-        """Dispatch one framed request: trace it, write the response,
-        account it into the access log.  Returns False when the
-        connection must close (explicit Connection: close or a broken
-        peer)."""
-        method, path, headers, body, started = request
-        parsed_at = time.perf_counter()
-        close = headers.get("connection", "").lower() == "close"
-        route = _route_label(method, path)
-        tracer = self.tracer
-        self.telemetry.request_started()
-        remote = None
-        if tracer.enabled:
-            header = headers.get(TRACEPARENT_HEADER)
-            remote = parse_traceparent(header) if header else None
-        span_args = {"method": method, "route": route}
-        if remote is not None:
-            span_args["remote_parent_id"] = remote[1]
-        status = 500
-        nbytes = 0
-        alive = not close
-        with tracer.span("http.request", category="serve.http",
-                         start=started,
-                         trace_id=remote[0] if remote else None,
-                         **span_args) as root:
-            tracer.record_span("parse", started, parsed_at,
-                               category="serve.http")
-            try:
-                with tracer.span("handle", category="serve.http"):
-                    status, payload, extra = await self._dispatch(
-                        method, path, headers, body)
-            except _HttpError as exc:
-                status, payload, extra = exc.status, exc.body, {}
-            except ServiceError as exc:
-                status, payload, extra = (exc.status, exc.to_body(),
-                                          {})
-            except Exception as exc:
-                status = 500
-                payload = {"error": {
-                    "code": "internal", "status": 500,
-                    "detail": "%s: %s"
-                              % (type(exc).__name__, exc)}}
-                extra = {}
-            try:
-                with tracer.span("respond", category="serve.http"):
-                    if extra.pop("_chunked", False):
-                        nbytes = await self._write_chunked(
-                            writer, status, payload, extra, close)
-                    else:
-                        nbytes = await self._write_response(
-                            writer, status, payload, extra, close)
-            except (ConnectionResetError, BrokenPipeError):
-                alive = False
-            if root is not None:
-                root.args["status"] = status
-        duration = time.perf_counter() - started
-        span_tree = None
-        if root is not None and duration * 1000.0 \
-                >= self.telemetry.slow_request_ms:
-            span_tree = tracer.subtree(root)
-        self.telemetry.observe_request(
-            "http", route, status, nbytes, duration,
-            trace_id=root.trace_id if root is not None else None,
-            span_tree=span_tree)
-        return alive
-
-    async def _read_request(
-            self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes, float]]:
+    async def _next_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> bool:
+        """Read, serve and answer one request.  Returns False when the
+        connection must close (a clean keep-alive close, an explicit
+        Connection: close, or a broken peer)."""
         # One readuntil for the whole head instead of a readline per
         # header: at 10k-session swarm scale the per-await event-loop
         # trips dominate header parsing, so the hot path takes exactly
@@ -260,22 +179,23 @@ class HttpServer:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
             if not exc.partial or exc.partial in (b"\r\n", b"\n"):
-                return None          # clean keep-alive close
+                return False         # clean keep-alive close
             raise
         except asyncio.LimitOverrunError:
-            raise _HttpError(400, "bad-request-line",
-                             "request head exceeds the stream limit")
+            raise ServiceError("bad-request-line", 400,
+                               "request head exceeds the stream limit")
         # Timestamp the moment the request head lands, not when the
         # keep-alive connection went idle — parse time and request
         # duration both anchor here.
-        started = time.perf_counter()
+        now = self.telemetry.now_fn
+        started = now()
         raw_lines = head[:-4].split(b"\r\n")
         try:
-            method, path, _version = \
+            method, target, _version = \
                 raw_lines[0].decode("ascii").strip().split(" ", 2)
         except (UnicodeDecodeError, ValueError):
-            raise _HttpError(400, "bad-request-line",
-                             "unparseable request line")
+            raise ServiceError("bad-request-line", 400,
+                               "unparseable request line")
         headers: Dict[str, str] = {}
         for raw in raw_lines[1:]:
             name, _sep, value = raw.decode("latin-1").partition(":")
@@ -283,214 +203,61 @@ class HttpServer:
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            raise _HttpError(400, "invalid-content-length",
-                             "Content-Length must be an integer")
+            raise ServiceError("invalid-content-length", 400,
+                               "Content-Length must be an integer")
         if length < 0:
-            raise _HttpError(400, "invalid-content-length",
-                             "Content-Length must be non-negative")
+            raise ServiceError("invalid-content-length", 400,
+                               "Content-Length must be non-negative")
         if length > MAX_BODY_BYTES:
-            raise _HttpError(413, "body-too-large",
-                             "body exceeds %d bytes" % MAX_BODY_BYTES)
+            raise ServiceError("body-too-large", 413,
+                               "body exceeds %d bytes" % MAX_BODY_BYTES)
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body, started
-
-    # -- routing ---------------------------------------------------------------
-
-    async def _dispatch(self, method: str, target: str,
-                        headers: Dict[str, str], body: bytes
-                        ) -> Tuple[int, object, Dict[str, str]]:
         path, _sep, query = target.partition("?")
-        parts = [p for p in path.split("/") if p]
-        service = self.service
-        if not parts:
-            return 200, self._directory(), {}
-        if parts == ["metrics"] and method == "GET":
-            return 200, self._call(service.openmetrics), \
-                {"_chunked": True}
-        if parts == ["healthz"] and method == "GET":
-            return 200, service.health_snapshot(self.telemetry), {}
-        if parts == ["channels"] and method == "GET":
-            return 200, self._call(service.channel_status), {}
-        if parts[0] == "devices":
-            return self._dispatch_devices(method, parts, body)
-        if parts[0] == "manifests" and len(parts) == 2 \
-                and method == "GET":
-            # Manifest resolution signs (P-256): run it on the signer
-            # pool, never on the event loop.  The service returns the
-            # pre-serialized canonical JSON, so the face only frames.
-            encoded = await self._sign_dispatch(
-                service.resolve_manifest_encoded, parts[1])
-            return 200, encoded + b"\n", \
-                {"Content-Type": "application/json; charset=utf-8"}
-        if parts[0] == "images" and len(parts) == 2 and method == "GET":
-            return self._dispatch_image(parts[1], headers, query)
-        if parts[0] == "reports" and len(parts) == 2 \
-                and method == "POST":
-            return 200, self._call(service.close_token, parts[1],
-                                   _json_body(body)), {}
-        if parts[0] == "campaigns":
-            return await self._dispatch_campaigns(method, parts, body)
-        raise _HttpError(404, "unknown-route",
-                         "%s %s is not a service endpoint"
-                         % (method, path))
+        return await self._serve(
+            _HttpRequest(writer, headers, query), method.upper(), path,
+            body, started, headers.get(TRACEPARENT_HEADER),
+            parsed_at=now())
 
-    def _call(self, fn, *args):
-        """An inline (on-loop) service call, traced as a
-        ``service.<name>`` child span of the current request."""
-        with self.tracer.span("service.%s" % fn.__name__,
-                              category="serve.service"):
-            return fn(*args)
+    # -- framing hooks ---------------------------------------------------------
 
-    async def _offload(self, fn, *args, **kwargs):
-        """Run a potentially long service call on the default
-        executor.  Device-session calls are sub-millisecond in-memory
-        operations and stay on the loop; campaign calls build worlds
-        (up to 100k simulated devices), replay WALs, and honour
-        ``wait: true`` joins — any of which would stall every other
-        connection if run on the loop thread.
+    def chunk_range(self, request: _HttpRequest
+                    ) -> Tuple[int, Optional[int]]:
+        offset, length, request.ranged = _parse_range(
+            request.headers.get("range"), request.query)
+        request.offset = offset
+        return offset, length
 
-        The call runs inside a copy of the *current* contextvars
-        context (``run_in_executor``, unlike ``asyncio.to_thread``,
-        does not copy it), so the tracer's span context crosses the
-        thread hop and the campaign call records as a child span of
-        its request."""
-        loop = asyncio.get_running_loop()
-        if kwargs:
-            fn = functools.partial(fn, **kwargs)
-        tracer = self.tracer
-        if tracer.enabled:
-            name = getattr(fn, "func", fn).__name__
-            inner = fn
-
-            def fn(*call_args):
-                with tracer.span("service.%s" % name,
-                                 category="serve.service"):
-                    return inner(*call_args)
-
-        ctx = contextvars.copy_context()
-        return await loop.run_in_executor(None, ctx.run, fn, *args)
-
-    async def _sign_dispatch(self, fn, *args):
-        """Run an ECDSA-bearing service call on the signer pool.
-
-        Like :meth:`_offload`, but through the service's dedicated
-        signer executor: the pool drains waves of simultaneous token
-        resolutions in batches, shares the fast engine's P-256 tables
-        across its workers, and (when tracing) records the queue wait
-        as a ``sign.queue`` span under this request."""
-        tracer = self.tracer
-        if tracer.enabled:
-            name = fn.__name__
-            inner = fn
-
-            def fn(*call_args):
-                with tracer.span("service.%s" % name,
-                                 category="serve.service"):
-                    return inner(*call_args)
-
-        return await self.service.signer.dispatch(fn, *args,
-                                                  tracer=tracer)
-
-    def _dispatch_devices(self, method: str, parts: List[str],
-                          body: bytes
-                          ) -> Tuple[int, object, Dict[str, str]]:
-        service = self.service
-        if len(parts) == 1 and method == "POST":
-            return 201, self._call(service.register_device,
-                                   _json_body(body)), {}
-        if len(parts) >= 2:
-            try:
-                device_id = int(parts[1])
-            except ValueError:
-                raise _HttpError(400, "invalid-device-id",
-                                 "device id must be an integer")
-            if len(parts) == 2 and method == "GET":
-                return 200, self._call(service.device_status,
-                                       device_id), {}
-            if len(parts) == 3 and parts[2] == "token" \
-                    and method == "POST":
-                req = _json_body(body) if body else {}
-                return 201, self._call(
-                    service.issue_token, device_id,
-                    bool(req.get("supports_differential", False))), {}
-        raise _HttpError(405, "method-not-allowed",
-                         "unsupported device operation")
-
-    def _dispatch_image(self, token_hex: str, headers: Dict[str, str],
-                        query: str
-                        ) -> Tuple[int, object, Dict[str, str]]:
-        offset, length, ranged = _parse_range(headers.get("range"),
-                                              query)
+    async def _respond(self, request: _HttpRequest, status: int,
+                       payload: object) -> Tuple[int, int, bool]:
+        writer, close = request.writer, request.close
+        fields = b""
+        content_type = _JSON
+        if isinstance(payload, tuple):
+            # A payload chunk: the slice is a memoryview into the
+            # image (no copy); ranged reads answer 206.  A satisfied
+            # zero-length range has no valid Content-Range (RFC 7233
+            # reserves 'bytes */N' for 416), so it stays a plain 200.
+            payload, total = payload
+            content_type = _OCTETS
+            if request.ranged and len(payload):
+                status = 206
+                fields = b"Content-Range: bytes %d-%d/%d\r\n" % (
+                    request.offset, request.offset + len(payload) - 1,
+                    total)
+        elif isinstance(payload, bytes):
+            # Pre-serialized canonical JSON (the manifest): framed,
+            # never re-encoded.
+            payload = payload + b"\n"
         try:
-            data, total = self._call(self.service.read_chunk,
-                                     token_hex, offset, length)
-        except ServiceError as exc:
-            if exc.status == 416:
-                raise _RangeError(exc)
-            raise
-        if not ranged:
-            return 200, data, {"Content-Type":
-                               "application/octet-stream"}
-        if not data:
-            # A satisfied zero-length range has no valid Content-Range
-            # (RFC 7233 reserves 'bytes */N' for 416 responses), so it
-            # degrades to a plain 200 with an empty body.
-            return 200, b"", {"Content-Type":
-                              "application/octet-stream"}
-        content_range = "bytes %d-%d/%d" % (
-            offset, offset + len(data) - 1, total)
-        return 206, data, {"Content-Type": "application/octet-stream",
-                           "Content-Range": content_range}
-
-    async def _dispatch_campaigns(self, method: str, parts: List[str],
-                                  body: bytes
-                                  ) -> Tuple[int, object,
-                                             Dict[str, str]]:
-        service = self.service
-        if len(parts) == 1:
-            if method == "GET":
-                return 200, await self._offload(
-                    service.list_campaigns), {}
-            if method == "POST":
-                return 201, await self._offload(
-                    service.create_campaign, _json_body(body)), {}
-        elif len(parts) == 2:
-            name = parts[1]
-            if method == "GET":
-                return 200, await self._offload(
-                    service.campaign_status, name), {}
-            if method == "DELETE":
-                return 200, await self._offload(
-                    service.delete_campaign, name), {}
-        elif len(parts) == 3 and method == "POST":
-            name, action = parts[1], parts[2]
-            if action == "refresh":
-                req = _json_body(body) if body else {}
-                return 200, await self._offload(
-                    service.refresh_campaign, name, req), {}
-            if action == "resume":
-                req = _json_body(body) if body else {}
-                return 200, await self._offload(
-                    service.resume_campaign, name,
-                    wait=bool(req.get("wait", False))), {}
-        raise _HttpError(405, "method-not-allowed",
-                         "unsupported campaign operation")
-
-    def _directory(self) -> Dict[str, object]:
-        return {
-            "service": "upkit-serve",
-            "endpoints": [
-                "GET /channels", "POST /devices",
-                "GET /devices/{id}", "POST /devices/{id}/token",
-                "GET /manifests/{token}", "GET /images/{token}",
-                "POST /reports/{token}", "GET /campaigns",
-                "POST /campaigns", "GET /campaigns/{name}",
-                "POST /campaigns/{name}/refresh",
-                "POST /campaigns/{name}/resume",
-                "DELETE /campaigns/{name}", "GET /metrics",
-                "GET /healthz",
-            ],
-        }
+            if isinstance(payload, str):
+                nbytes = await self._write_chunked(writer, status,
+                                                   payload, close)
+            else:
+                nbytes = await self._write_response(
+                    writer, status, payload, content_type, close, fields)
+        except (ConnectionResetError, BrokenPipeError):
+            return status, 0, False
+        return status, nbytes, not close
 
     # -- response writing ------------------------------------------------------
 
@@ -514,8 +281,10 @@ class HttpServer:
 
     async def _write_response(self, writer: asyncio.StreamWriter,
                               status: int, payload: object,
-                              extra: Dict[str, str],
-                              close: bool) -> int:
+                              content_type: str, close: bool,
+                              fields: bytes = b"") -> int:
+        """One Content-Length response; ``fields`` are extra encoded
+        header lines (the Content-Range of a 206)."""
         tracer = self.tracer
         with tracer.span("serialize", category="serve.http"):
             if isinstance(payload, (bytes, bytearray, memoryview)):
@@ -524,28 +293,12 @@ class HttpServer:
                 # joined with the header — both buffers go straight to
                 # the transport.
                 body = payload
-                content_type = extra.pop("Content-Type",
-                                         "application/octet-stream")
             else:
                 body = (json.dumps(payload, sort_keys=True) + "\n") \
                     .encode("utf-8")
-                content_type = extra.pop(
-                    "Content-Type", "application/json; charset=utf-8")
-            if extra:
-                headers = ["HTTP/1.1 %d %s"
-                           % (status,
-                              _STATUS_TEXT.get(status, "Unknown")),
-                           "Content-Type: %s" % content_type,
-                           "Content-Length: %d" % len(body)]
-                headers += ["%s: %s" % item for item in extra.items()]
-                headers.append("Connection: %s"
-                               % ("close" if close else "keep-alive"))
-                header_bytes = ("\r\n".join(headers) + "\r\n\r\n") \
-                    .encode("latin-1")
-            else:
-                header_bytes = self._header_prefix(
-                    status, content_type, close) \
-                    + b"%d\r\n\r\n" % len(body)
+            header_bytes = self._header_prefix(
+                status, content_type, close) \
+                + b"%d\r\n%s\r\n" % (len(body), fields)
         with tracer.span("write", category="serve.http"):
             # writelines hands both buffers to the transport in one
             # call, so header and body leave in a single send()
@@ -559,17 +312,12 @@ class HttpServer:
         return len(body)
 
     async def _write_chunked(self, writer: asyncio.StreamWriter,
-                             status: int, payload: object,
-                             extra: Dict[str, str],
+                             status: int, text: str,
                              close: bool) -> int:
-        text = payload if isinstance(payload, str) \
-            else json.dumps(payload, sort_keys=True)
         body = text.encode("utf-8")
         headers = ["HTTP/1.1 %d %s"
                    % (status, _STATUS_TEXT.get(status, "Unknown")),
-                   "Content-Type: %s"
-                   % extra.pop("Content-Type",
-                               OPENMETRICS_CONTENT_TYPE),
+                   "Content-Type: %s" % OPENMETRICS_CONTENT_TYPE,
                    "Transfer-Encoding: chunked",
                    "Connection: %s"
                    % ("close" if close else "keep-alive")]
@@ -583,58 +331,6 @@ class HttpServer:
         return len(body)
 
 
-class _RangeError(_HttpError):
-    def __init__(self, err: ServiceError) -> None:
-        super().__init__(err.status, err.code, err.detail)
-        self.body = err.to_body()
-
-
-def _route_label(method: str, target: str) -> str:
-    """Collapse a request target to a bounded route label.
-
-    Access-log lines and per-route metric families must never carry
-    token hex or device ids — cardinality would grow with traffic —
-    so paths fold onto the endpoint directory's templates."""
-    path = target.partition("?")[0]
-    parts = [p for p in path.split("/") if p]
-    if not parts:
-        return "%s /" % method
-    head = parts[0]
-    if head in ("metrics", "healthz", "channels") and len(parts) == 1:
-        return "%s /%s" % (method, head)
-    if head in ("manifests", "images", "reports") and len(parts) == 2:
-        return "%s /%s/{token}" % (method, head)
-    if head == "devices":
-        if len(parts) == 1:
-            return "%s /devices" % method
-        if len(parts) == 2:
-            return "%s /devices/{id}" % method
-        if len(parts) == 3 and parts[2] == "token":
-            return "%s /devices/{id}/token" % method
-    if head == "campaigns":
-        if len(parts) == 1:
-            return "%s /campaigns" % method
-        if len(parts) == 2:
-            return "%s /campaigns/{name}" % method
-        if len(parts) == 3 and parts[2] in ("refresh", "resume"):
-            return "%s /campaigns/{name}/%s" % (method, parts[2])
-    return "%s <other>" % method
-
-
-def _json_body(body: bytes) -> Dict[str, object]:
-    if not body:
-        raise _HttpError(400, "invalid-body", "a JSON body is required")
-    try:
-        parsed = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _HttpError(400, "invalid-body",
-                         "body is not valid JSON: %s" % exc)
-    if not isinstance(parsed, dict):
-        raise _HttpError(400, "invalid-body",
-                         "body must be a JSON object")
-    return parsed
-
-
 def _parse_range(header: Optional[str], query: str
                  ) -> Tuple[int, Optional[int], bool]:
     """``(offset, length, was_ranged)`` from a Range header or an
@@ -642,22 +338,22 @@ def _parse_range(header: Optional[str], query: str
     if header:
         spec = header.strip().lower()
         if not spec.startswith("bytes="):
-            raise _HttpError(400, "invalid-range",
-                             "only bytes= ranges are supported")
+            raise ServiceError("invalid-range", 400,
+                               "only bytes= ranges are supported")
         first = spec[len("bytes="):].split(",")[0].strip()
         start_s, sep, end_s = first.partition("-")
         if not sep or not start_s:
-            raise _HttpError(400, "invalid-range",
-                             "suffix ranges are not supported")
+            raise ServiceError("invalid-range", 400,
+                               "suffix ranges are not supported")
         try:
             start = int(start_s)
             end = int(end_s) if end_s else None
         except ValueError:
-            raise _HttpError(400, "invalid-range",
-                             "unparseable Range header")
+            raise ServiceError("invalid-range", 400,
+                               "unparseable Range header")
         if end is not None and end < start:
-            raise _HttpError(400, "invalid-range",
-                             "range end precedes range start")
+            raise ServiceError("invalid-range", 400,
+                               "range end precedes range start")
         length = None if end is None else end - start + 1
         return start, length, True
     if query:
@@ -671,7 +367,7 @@ def _parse_range(header: Optional[str], query: str
                 length = (int(params["length"])
                           if "length" in params else None)
             except ValueError:
-                raise _HttpError(400, "invalid-range",
-                                 "offset/length must be integers")
+                raise ServiceError("invalid-range", 400,
+                                   "offset/length must be integers")
             return offset, length, True
     return 0, None, False

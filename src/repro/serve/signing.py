@@ -23,7 +23,7 @@ service lock*.  Every endpoint convoyed behind scalar multiplication.
   one executor round-trip per job.
 
 Jobs run under :func:`contextvars.copy_context` copied at submit time,
-so asynctrace spans recorded inside a job land under the submitting
+so tracer spans recorded inside a job land under the submitting
 request's span — that is what feeds ``cli swarm --profile``'s
 queue-wait / sign phase split.
 """

@@ -13,7 +13,7 @@ devices did — and this module is where those measurements land:
   traffic alongside device/engine stats;
 * **slow-request records**: any request over ``slow_request_ms``
   is logged together with its span tree (from the
-  :class:`~repro.obs.asynctrace.AsyncTracer`), so a stall is
+  :class:`~repro.obs.trace.Tracer`), so a stall is
   attributable without re-running under a profiler;
 * the **event-loop watchdog** (:class:`EventLoopWatchdog`): an asyncio
   task that sleeps a fixed interval and measures how late the loop

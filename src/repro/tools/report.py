@@ -338,7 +338,7 @@ def validate_data(kind: str, version: int,
 def _server_profile_errors(server: Dict[str, object]) -> List[str]:
     """Validate the optional ``server.profile`` block (v6, from
     ``cli swarm --profile``): a per-endpoint phase breakdown aggregated
-    from asynctrace spans.  Absent is fine — profiling is opt-in."""
+    from server tracer spans.  Absent is fine — profiling is opt-in."""
     profile = server.get("profile")
     if profile is None:
         return []

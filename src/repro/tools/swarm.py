@@ -36,10 +36,9 @@ import time
 from hashlib import sha256
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.asynctrace import AsyncTracer, NULL_ASYNC_TRACER, \
-    TRACEPARENT_HEADER
 from ..obs.slo import percentile
-from ..obs.trace import merge_chrome_traces
+from ..obs.trace import NULL_TRACER, TRACEPARENT_HEADER, Tracer, \
+    merge_chrome_traces
 
 __all__ = [
     "DEFAULT_SESSIONS",
@@ -81,10 +80,12 @@ TRACE_OVERHEAD_BUDGET = 0.15
 
 #: Request phases ``cli swarm --profile`` breaks out per endpoint
 #: class, aggregated from the server tracer's spans: header parse,
-#: signer-pool queue wait (``sign.queue``), service execution
-#: (``service.*`` — ECDSA-dominated on manifests, hence "sign"),
-#: response serialization, and the socket write.
-PROFILE_PHASES = ("parse", "queue_wait", "sign", "serialize", "write")
+#: signer-pool queue wait (``sign.queue``), a service call on the loop
+#: or the default executor ("service"), a service call on the signer
+#: pool ("sign" — the ECDSA-bearing manifest resolution), response
+#: serialization, and the socket write.
+PROFILE_PHASES = ("parse", "queue_wait", "service", "sign", "serialize",
+                  "write")
 
 #: Server-side HTTP route labels folded onto swarm endpoint classes.
 _ROUTE_TO_CLASS = {
@@ -95,7 +96,8 @@ _ROUTE_TO_CLASS = {
     "POST /reports/{token}": "report",
 }
 
-#: Direct span-name -> phase folds; ``service.*`` folds to "sign".
+#: Direct span-name -> phase folds; ``service.*`` folds to "sign" when
+#: it ran on the signer pool, to "service" otherwise.
 _SPAN_TO_PHASE = {"parse": "parse", "sign.queue": "queue_wait",
                   "serialize": "serialize", "write": "write"}
 
@@ -215,7 +217,7 @@ async def run_http_session(client: SwarmHttpClient, device_id: int,
                            channel: str = "stable",
                            timings: Optional[
                                Dict[str, List[float]]] = None,
-                           tracer: Optional[AsyncTracer] = None
+                           tracer: Optional[Tracer] = None
                            ) -> Dict[str, object]:
     """The full device flow on an open client; returns the
     device-visible outcome (same shape as the CoAP client's).
@@ -225,7 +227,7 @@ async def run_http_session(client: SwarmHttpClient, device_id: int,
     traceparent rides the HTTP header — the server grafts its request
     spans onto that trace_id, which is the cross-plane join the trace
     validator checks."""
-    tracer = tracer or NULL_ASYNC_TRACER
+    tracer = tracer or NULL_TRACER
     with tracer.span("device.session", category="device",
                      device_id=device_id, proto="http"):
         return await _run_http_flow(client, device_id, chunk_bytes,
@@ -235,7 +237,7 @@ async def run_http_session(client: SwarmHttpClient, device_id: int,
 async def _run_http_flow(client: SwarmHttpClient, device_id: int,
                          chunk_bytes: int, channel: str,
                          timings: Optional[Dict[str, List[float]]],
-                         tracer: AsyncTracer) -> Dict[str, object]:
+                         tracer: Tracer) -> Dict[str, object]:
     async def timed(cls: str, method: str, path: str,
                     body=None, headers=None, expect=(200, 201)):
         with tracer.span("http.%s" % cls, category="device"):
@@ -306,7 +308,7 @@ async def run_swarm(host: str, port: int,
                     concurrency: int = DEFAULT_CONCURRENCY,
                     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                     device_id_base: int = DEVICE_ID_BASE,
-                    tracer: Optional[AsyncTracer] = None
+                    tracer: Optional[Tracer] = None
                     ) -> Dict[str, object]:
     """Drive ``sessions`` full device flows; returns the ``server``
     metrics section (see module docstring for the contract)."""
@@ -395,8 +397,8 @@ def run_benchmark(sessions: int = DEFAULT_SESSIONS,
 
 def _run_benchmark(sessions: int, concurrency: int, image_size: int,
                    chunk_bytes: int, host: str,
-                   client_tracer: Optional[AsyncTracer] = None,
-                   server_tracer: Optional[AsyncTracer] = None
+                   client_tracer: Optional[Tracer] = None,
+                   server_tracer: Optional[Tracer] = None
                    ) -> Dict[str, object]:
     from ..serve import FleetService, HttpServer
 
@@ -450,8 +452,8 @@ def run_traced_benchmark(sessions: int = DEFAULT_SESSIONS,
     """
     results = _run_benchmark(sessions, concurrency, image_size,
                              chunk_bytes, host)
-    client_tracer = AsyncTracer(enabled=True)
-    server_tracer = AsyncTracer(enabled=True)
+    client_tracer = Tracer(enabled=True)
+    server_tracer = Tracer(enabled=True)
     traced = _run_benchmark(sessions, concurrency, image_size,
                             chunk_bytes, host,
                             client_tracer=client_tracer,
@@ -486,14 +488,14 @@ def run_traced_benchmark(sessions: int = DEFAULT_SESSIONS,
     return results, trace_doc
 
 
-def aggregate_server_profile(tracer: AsyncTracer) -> Dict[str, object]:
+def aggregate_server_profile(tracer: Tracer) -> Dict[str, object]:
     """Fold a server tracer's spans into a per-endpoint phase profile.
 
     Each ``http.request`` root span is classed by its route label;
-    every descendant span folds onto one of :data:`PROFILE_PHASES`
-    (``service.*`` counts as the "sign" phase — on manifests it is
-    the ECDSA-bearing resolution, on control endpoints the in-memory
-    service call).  Phases report count/p50/p99/total in ms, which is
+    every descendant span folds onto one of :data:`PROFILE_PHASES`.
+    A ``service.*`` span counts as "sign" only when it ran on the
+    signer pool — the pool records a ``sign.queue`` sibling for every
+    job it runs — and as "service" otherwise.  Phases report count/p50/p99/total in ms, which is
     what makes "where did the milliseconds go" answerable per
     endpoint class straight from ``BENCH_server.json``.
     """
@@ -501,6 +503,8 @@ def aggregate_server_profile(tracer: AsyncTracer) -> Dict[str, object]:
         spans = list(tracer.spans)
     by_parent: Dict[int, List[object]] = {}
     roots = []
+    pooled = {span.parent_id for span in spans
+              if span.name == "sign.queue"}
     for span in spans:
         if span.parent_id is None:
             if span.name == "http.request":
@@ -521,7 +525,7 @@ def aggregate_server_profile(tracer: AsyncTracer) -> Dict[str, object]:
             node = frontier.pop()
             phase = _SPAN_TO_PHASE.get(node.name)
             if phase is None and node.name.startswith("service."):
-                phase = "sign"
+                phase = "sign" if node.parent_id in pooled else "service"
             if phase is not None:
                 entry["phases"][phase].append(node.duration * 1000.0)
             frontier.extend(by_parent.get(node.span_id, ()))
@@ -567,7 +571,7 @@ def profile_section(sessions: int = DEFAULT_SESSIONS,
                     host: str = "127.0.0.1") -> Dict[str, object]:
     """One server-traced swarm run, aggregated into a ``profile``
     block (req/s of the profiled run recorded for context only)."""
-    server_tracer = AsyncTracer(enabled=True)
+    server_tracer = Tracer(enabled=True)
     profiled = _run_benchmark(sessions, concurrency, image_size,
                               chunk_bytes, host,
                               server_tracer=server_tracer)

@@ -51,6 +51,25 @@ def test_api_generator_runs():
     assert "UpdateAgent" in content
 
 
+def test_api_reference_does_not_depend_on_hash_seed():
+    """Set defaults render sorted, so two hash seeds (which order
+    ``{'retry-storm', 'crash-loop'}`` differently) agree byte for
+    byte and a test run never rewrites docs/API.md."""
+    script = ("import sys; sys.path.insert(0, %r); import generate_api; "
+              "sys.stdout.write(generate_api.render())"
+              % os.path.join(REPO_ROOT, "docs"))
+    renders = []
+    for seed in ("4", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True,
+                                cwd=REPO_ROOT, env=env)
+        assert result.returncode == 0, result.stderr
+        renders.append(result.stdout)
+    assert "quarantine_kinds" in renders[0]
+    assert renders[0] == renders[1]
+
+
 @pytest.mark.parametrize("name", ["README.md", "DESIGN.md",
                                   "EXPERIMENTS.md"])
 def test_top_level_docs_exist(name):

@@ -22,8 +22,7 @@ from repro.serve import (
     HttpServer,
     ServeTelemetry,
 )
-from repro.serve.coapface import _coap_route_label
-from repro.serve.httpd import _route_label
+from repro.serve.routes import route_label
 from repro.tools.swarm import SwarmHttpClient, run_http_session
 
 DEVICE = 0x40DD0001
@@ -115,31 +114,24 @@ def test_watchdog_samples_lag_and_flags_stalls():
 
 
 def test_http_route_labels_fold_identifiers():
-    assert _route_label("GET", "/images/deadbeef?offset=0") == \
+    assert route_label("http", "GET", "/images/deadbeef?offset=0") == \
         "GET /images/{token}"
-    assert _route_label("POST", "/devices/123/token") == \
+    assert route_label("http", "POST", "/devices/123/token") == \
         "POST /devices/{id}/token"
-    assert _route_label("GET", "/healthz") == "GET /healthz"
-    assert _route_label("GET", "/totally/unknown/path") == "GET <other>"
+    assert route_label("http", "GET", "/healthz") == "GET /healthz"
+    assert route_label("http", "GET", "/totally/unknown/path") == \
+        "GET <other>"
 
 
 def test_coap_route_labels_fold_identifiers():
-    class Req:
-        def __init__(self, code, path):
-            self.code = code
-            self._path = path
-
-        def uri_path(self):
-            return self._path
-
     from repro.net.coap import CoapCode
-    assert _coap_route_label(Req(CoapCode.GET, "images/ff01")) == \
+    assert route_label("coap", CoapCode.GET.name, "images/ff01") == \
         "GET images/{token}"
-    assert _coap_route_label(Req(CoapCode.POST, "devices")) == \
+    assert route_label("coap", CoapCode.POST.name, "devices") == \
         "POST devices"
-    assert _coap_route_label(Req(CoapCode.GET, "healthz")) == \
+    assert route_label("coap", CoapCode.GET.name, "healthz") == \
         "GET healthz"
-    assert _coap_route_label(Req(CoapCode.GET, "nope/x")) == \
+    assert route_label("coap", CoapCode.GET.name, "nope/x") == \
         "GET <other>"
 
 

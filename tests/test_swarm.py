@@ -16,6 +16,8 @@ import json
 
 import pytest
 
+from repro.crypto.engine import SignatureCache
+from repro.serve import signing
 from repro.tools import swarm
 from repro.tools.bench import compare_to_baseline
 from repro.tools.cli import main
@@ -26,8 +28,20 @@ SESSIONS = 150
 
 @pytest.fixture(scope="module")
 def bench_doc():
-    return swarm.run_benchmark(sessions=SESSIONS, concurrency=32,
-                               image_size=4096, chunk_bytes=1024)
+    """One bounded swarm on a fresh signer pool and signature cache:
+    the process-wide ones remember (key, digest) pairs signed by
+    earlier test modules, which would turn this run's producer signs
+    into cache hits depending on test order."""
+    pool = signing.SignerPool(signature_cache=SignatureCache())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signing, "_SHARED_POOL", pool)
+        try:
+            return swarm.run_benchmark(sessions=SESSIONS,
+                                       concurrency=32,
+                                       image_size=4096,
+                                       chunk_bytes=1024)
+        finally:
+            pool.close()
 
 
 def test_bounded_swarm_has_zero_failed_sessions(bench_doc):
@@ -171,6 +185,11 @@ def test_profile_section_breaks_out_phases(tmp_path):
     assert endpoints["manifest"]["phases"]["sign"]["count"] == 20
     assert "queue_wait" not in endpoints["register"]["phases"]
     assert "write" in endpoints["chunk"]["phases"]
+    # Only signer-pool calls count as "sign": a chunk read is a plain
+    # service call.
+    assert "sign" not in endpoints["chunk"]["phases"]
+    assert endpoints["chunk"]["phases"]["service"]["count"] \
+        == endpoints["chunk"]["requests"]
     path = str(tmp_path / "BENCH_profile.json")
     swarm.write_results(copy.deepcopy(doc), path)
     assert main(["report", "--validate", path]) == 0

@@ -16,8 +16,8 @@ import json
 
 import pytest
 
-from repro.obs.asynctrace import AsyncTracer
-from repro.obs.trace import containment_errors, merge_chrome_traces
+from repro.obs.trace import Tracer, containment_errors, \
+    merge_chrome_traces
 from repro.serve import (
     CoapDatagramRelay,
     CoapDeviceClient,
@@ -32,7 +32,7 @@ DEVICE = 0x40EE0001
 
 
 def traced_pair():
-    return (AsyncTracer(enabled=True), AsyncTracer(enabled=True))
+    return (Tracer(enabled=True), Tracer(enabled=True))
 
 
 def merged_doc(device_tracer, server_tracer):
