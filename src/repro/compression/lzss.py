@@ -164,32 +164,42 @@ class LzssDecoder:
         self._finished = False
 
     def feed(self, chunk: bytes) -> bytes:
-        """Decode ``chunk``, returning whatever output it completes."""
+        """Decode ``chunk``, returning whatever output it completes.
+
+        Output is decoded straight into the window; what this call
+        returns is the window past its length on entry, and the window
+        is trimmed back once, at the end.
+        """
         if self._finished:
             raise LzssError("decoder already finished")
-        out = bytearray()
         buf = self._partial + bytes(chunk)
         self._partial = b""
+        window = self._window
+        base = len(window)
+        flags = self._flags
+        remaining = self._remaining_in_group
+        n = len(buf)
         i = 0
-        while i < len(buf):
-            if self._remaining_in_group == 0:
-                self._flags = buf[i]
-                self._remaining_in_group = 8
+        while i < n:
+            if remaining == 0:
+                flags = buf[i]
+                remaining = 8
                 i += 1
-                continue
-            if self._flags & 1:
-                literal = buf[i]
-                i += 1
-                out.append(literal)
-                self._push_byte(literal)
+            elif flags & 1:
+                # A run of set flag bits is a run of literals: one copy.
+                run = min((flags ^ (flags + 1)).bit_length() - 1, n - i)
+                window += buf[i:i + run]
+                i += run
+                flags >>= run
+                remaining -= run
             else:
-                if i + 2 > len(buf):
+                if i + 2 > n:
                     self._partial = buf[i:]
                     break
                 token = (buf[i] << 8) | buf[i + 1]
                 code = token & 0x0F
                 if code == 0x0F:
-                    if i + 3 > len(buf):
+                    if i + 3 > n:
                         self._partial = buf[i:]
                         break
                     length = _BASE_MAX + 1 + buf[i + 2]
@@ -198,40 +208,34 @@ class LzssDecoder:
                     length = code + MIN_MATCH
                     i += 2
                 dist = (token >> 4) + 1
-                if dist > len(self._window):
+                if dist > len(window):
                     raise LzssError(
                         "back-reference distance %d exceeds window %d"
-                        % (dist, len(self._window))
+                        % (dist, len(window))
                     )
-                start = len(self._window) - dist
+                start = len(window) - dist
                 if dist >= length:
-                    chunk = self._window[start:start + length]
+                    window += window[start:start + length]
                 else:
                     # Overlapping copy: the byte-wise original reads
                     # bytes it just wrote, so the output repeats the
                     # last `dist` bytes periodically.
-                    seg = self._window[start:]
-                    chunk = (seg * (length // dist + 1))[:length]
-                out.extend(chunk)
-                self._window.extend(chunk)
-                self._trim()
-            self._flags >>= 1
-            self._remaining_in_group -= 1
-        return bytes(out)
+                    seg = window[start:]
+                    window += (seg * (length // dist + 1))[:length]
+                flags >>= 1
+                remaining -= 1
+        self._flags = flags
+        self._remaining_in_group = remaining
+        out = bytes(window[base:])
+        if len(window) > 2 * WINDOW_SIZE:
+            del window[:len(window) - WINDOW_SIZE]
+        return out
 
     def finish(self) -> None:
         """Assert the stream ended on an item boundary."""
         if self._partial:
             raise LzssError("truncated LZSS stream (split back-reference)")
         self._finished = True
-
-    def _push_byte(self, byte: int) -> None:
-        self._window.append(byte)
-        self._trim()
-
-    def _trim(self) -> None:
-        if len(self._window) > 2 * WINDOW_SIZE:
-            del self._window[: len(self._window) - WINDOW_SIZE]
 
 
 def _hash3(data: bytes, pos: int) -> int:

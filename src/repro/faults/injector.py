@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List
 
 from ..core import ServerUnavailable
-from ..memory import FlashMemory
 from ..net.link import COAP_6LOWPAN, Link, LinkProfile, LossBurst, \
     Outage, Slowdown
 from .plan import FaultKind, FaultPlan, FaultPoint
@@ -129,7 +128,7 @@ class FaultInjector:
         leaves that countdown in place — only a *fired* fault advances
         the queue.
         """
-        if any(flash.fault_armed for flash in self._flash_devices(bed)):
+        if any(flash.fault_armed for flash in bed.device.flash_devices):
             return
         self._arm_next_power_fault(bed)
 
@@ -151,14 +150,6 @@ class FaultInjector:
 
     # -- internals ----------------------------------------------------------
 
-    @staticmethod
-    def _flash_devices(bed) -> List[FlashMemory]:
-        devices: List[FlashMemory] = []
-        for slot in bed.device.layout.slots:
-            if all(slot.flash is not known for known in devices):
-                devices.append(slot.flash)
-        return devices
-
     def _arm_next_power_fault(self, bed) -> None:
         if not self._power_queue:
             return
@@ -166,7 +157,7 @@ class FaultInjector:
         # All devices share the countdown value; whichever reaches it
         # first fires (in the stock layouts every slot shares one
         # internal flash anyway).
-        for flash in self._flash_devices(bed):
+        for flash in bed.device.flash_devices:
             flash.clear_fault()
             flash.inject_power_loss(point.at, during=_DURING[point.kind])
 

@@ -20,12 +20,18 @@ The model enforces real NOR rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from functools import lru_cache
+from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["FlashTiming", "FlashStats", "FlashMemory", "FlashError",
            "PowerLossError"]
 
 ERASED = 0xFF
+
+
+@lru_cache(maxsize=None)
+def _erased_page(page_size: int) -> bytes:
+    return bytes([ERASED]) * page_size
 
 
 class FlashError(Exception):
@@ -78,7 +84,15 @@ class FlashStats:
 
 
 class FlashMemory:
-    """One flash device: a byte array with page-erase discipline."""
+    """One flash device: a byte array with page-erase discipline.
+
+    The contents are stored page-sparse: ``_pages`` maps a page number
+    to its bytes for *materialised* pages only, and a missing page
+    reads back ``0xFF``.  An erase drops the page; a write, a corrupt
+    or a half-erase materialises it.  A provisioned device is mostly
+    erased flash, so a 1 MiB nRF52840 costs only the pages its images
+    occupy, and pickles just as sparsely.
+    """
 
     def __init__(
         self,
@@ -97,7 +111,7 @@ class FlashMemory:
         self.name = name
         self.timing = timing if timing is not None else FlashTiming()
         self.strict = strict
-        self._data = bytearray(b"\xFF" * size)
+        self._pages: Dict[int, bytearray] = {}
         self.stats = FlashStats(erase_counts=[0] * (size // page_size))
         self._fault_countdown: "int | None" = None
         self._fault_during = "any"
@@ -105,40 +119,6 @@ class FlashMemory:
     @property
     def page_count(self) -> int:
         return self.size // self.page_size
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle the byte array *sparsely*: non-erased pages only.
-
-        A provisioned device is mostly erased flash (0xFF), so shipping
-        the raw array to a process-pool worker moves megabytes of
-        padding per device.  Storing only the pages that differ from
-        the erased state cuts a typical record's pickle by ~5-10x for
-        ~0.3 ms of memcmp — the difference between the process executor
-        winning and losing on IPC-heavy campaigns.
-        """
-        state = self.__dict__.copy()
-        page = self.page_size
-        erased_page = b"\xFF" * page
-        pages = {}
-        data = self._data
-        for offset in range(0, self.size, page):
-            chunk = bytes(data[offset:offset + page])
-            if chunk != erased_page:
-                pages[offset] = chunk
-        state["_data"] = pages
-        state["_sparse_pages"] = True
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if state.pop("_sparse_pages", False):
-            pages = state["_data"]
-            data = bytearray(b"\xFF" * state["size"])
-            for offset, chunk in pages.items():
-                data[offset:offset + len(chunk)] = chunk
-            state["_data"] = data
-        self.__dict__.update(state)
 
     def page_of(self, offset: int) -> int:
         self._check_range(offset, 1)
@@ -150,7 +130,16 @@ class FlashMemory:
         self._check_range(offset, length)
         self.stats.bytes_read += length
         self.stats.busy_seconds += length / self.timing.read_bytes_per_second
-        return bytes(self._data[offset:offset + length])
+        page, start = divmod(offset, self.page_size)
+        if start + length <= self.page_size:    # the common, one-page case
+            current = self._pages.get(page)
+            if current is None:
+                return b"\xFF" * length
+            return bytes(current[start:start + length])
+        pages = self._pages
+        erased = _erased_page(self.page_size)
+        return b"".join(pages.get(page, erased)[start:stop]
+                        for page, start, stop in self._walk(offset, length))
 
     # -- fault injection ----------------------------------------------------
 
@@ -206,18 +195,29 @@ class FlashMemory:
                 self.write(offset, half)
             raise PowerLossError(
                 "%s: power lost writing at 0x%X" % (self.name, offset))
+        pieces = list(self._walk(offset, len(data)))
+        pages = self._pages
         if self.strict:
-            for i, new_byte in enumerate(data):
-                current = self._data[offset + i]
-                if new_byte & ~current & 0xFF:
-                    raise FlashError(
-                        "%s: write at 0x%X would set bits 0→1 "
-                        "(erase the page first)" % (self.name, offset + i)
-                    )
-            for i, new_byte in enumerate(data):
-                self._data[offset + i] &= new_byte
-        else:
-            self._data[offset:offset + len(data)] = data
+            # Whole-range 1 -> 0 check before any byte changes: a piece
+            # is legal when the new bits are a subset of the current
+            # ones (a missing page is all ones).  Then current & new is
+            # new itself, so the write below is a plain slice store.
+            cursor = 0
+            for page, start, stop in pieces:
+                current = pages.get(page)
+                if current is not None:
+                    new = data[cursor:cursor + stop - start]
+                    clash = (int.from_bytes(new, "big")
+                             & ~int.from_bytes(current[start:stop], "big"))
+                    if clash:
+                        first = (offset + cursor + len(new) - 1
+                                 - (clash.bit_length() - 1) // 8)
+                        raise FlashError(
+                            "%s: write at 0x%X would set bits 0→1 "
+                            "(erase the page first)" % (self.name, first)
+                        )
+                cursor += stop - start
+        self._store(data, pieces)
         self.stats.bytes_written += len(data)
         self.stats.write_calls += 1
         self.stats.busy_seconds += (
@@ -233,16 +233,15 @@ class FlashMemory:
             # half reads back 0xFF, the head keeps its stale (now
             # untrustworthy) bytes.  Wear still happened, and roughly
             # half the erase time was spent before the supply collapsed.
-            start = page * self.page_size
-            half = self.page_size // 2
-            self._data[start + half:start + self.page_size] = \
-                b"\xFF" * (self.page_size - half)
+            current = self._pages.get(page)
+            if current is not None:
+                half = self.page_size // 2
+                current[half:] = _erased_page(self.page_size)[half:]
             self.stats.erase_counts[page] += 1
             self.stats.busy_seconds += self.timing.erase_page_seconds / 2
             raise PowerLossError(
                 "%s: power lost erasing page %d" % (self.name, page))
-        start = page * self.page_size
-        self._data[start:start + self.page_size] = b"\xFF" * self.page_size
+        self._pages.pop(page, None)
         self.stats.pages_erased += 1
         self.stats.erase_counts[page] += 1
         self.stats.busy_seconds += self.timing.erase_page_seconds
@@ -259,21 +258,49 @@ class FlashMemory:
 
     def is_erased(self, offset: int, length: int) -> bool:
         self._check_range(offset, length)
-        return all(b == ERASED for b in self._data[offset:offset + length])
+        pages = self._pages
+        return all(page not in pages
+                   or pages[page].count(ERASED, start, stop) == stop - start
+                   for page, start, stop in self._walk(offset, length))
 
     def snapshot(self) -> bytes:
         """Raw contents (test/debug aid; bypasses cost accounting)."""
-        return bytes(self._data)
+        erased = _erased_page(self.page_size)
+        return b"".join(self._pages.get(page, erased)
+                        for page in range(self.page_count))
 
     def corrupt(self, offset: int, data: bytes) -> None:
         """Overwrite raw bytes bypassing NOR rules — fault injection only."""
+        data = bytes(data)
         self._check_range(offset, len(data))
-        self._data[offset:offset + len(data)] = data
+        self._store(data, self._walk(offset, len(data)))
 
     def reset_stats(self) -> None:
         self.stats = FlashStats(erase_counts=[0] * self.page_count)
 
     # -- helpers ----------------------------------------------------------
+
+    def _walk(self, offset: int, length: int
+              ) -> Iterator[Tuple[int, int, int]]:
+        """``(page, start, stop)`` for each page piece of the range."""
+        end = offset + length
+        while offset < end:
+            page, start = divmod(offset, self.page_size)
+            stop = min(self.page_size, start + end - offset)
+            yield page, start, stop
+            offset += stop - start
+
+    def _store(self, data: bytes, pieces) -> None:
+        """Place ``data`` over ``pieces``, materialising missing pages."""
+        pages = self._pages
+        erased = _erased_page(self.page_size)
+        cursor = 0
+        for page, start, stop in pieces:
+            current = pages.get(page)
+            if current is None:
+                current = pages[page] = bytearray(erased)
+            current[start:stop] = data[cursor:cursor + stop - start]
+            cursor += stop - start
 
     def _check_range(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:

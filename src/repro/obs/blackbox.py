@@ -40,6 +40,7 @@ __all__ = ["BlackBoxRecord", "BlackBox", "PHASE_CODES", "PHASE_OF_EVENT",
 RECORD_SIZE = 32
 _RECORD = struct.Struct(">IdB17sH")
 _LABEL_BYTES = 17
+_ERASED_RECORD = b"\xFF" * RECORD_SIZE
 
 #: Lifecycle phases and their on-flash codes.
 PHASE_CODES = {
@@ -145,7 +146,7 @@ class BlackBox:
     # -- mounting ------------------------------------------------------------
 
     def _decode(self, raw: bytes) -> Optional[BlackBoxRecord]:
-        if len(raw) != RECORD_SIZE or all(b == 0xFF for b in raw):
+        if len(raw) != RECORD_SIZE or raw == _ERASED_RECORD:
             return None
         try:
             seq, t, phase_code, label_bytes, crc = _RECORD.unpack(raw)

@@ -350,7 +350,7 @@ def bind_device(registry: MetricsRegistry, device: Any) -> None:
         totals = {"bytes_read": 0, "bytes_written": 0, "pages_erased": 0,
                   "write_calls": 0}
         max_wear = 0
-        for flash in device._flash_devices():
+        for flash in device.flash_devices:
             stats = flash.stats
             for key in totals:
                 totals[key] += getattr(stats, key)

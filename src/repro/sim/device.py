@@ -78,6 +78,10 @@ class SimulatedDevice:
         self.board = board
         self.os_profile = os_profile
         self.layout = layout
+        #: Each flash device behind the layout's slots, once, in slot
+        #: order (a layout's slots are fixed at construction).
+        self.flash_devices: "list[FlashMemory]" = list(
+            {id(slot.flash): slot.flash for slot in layout.slots}.values())
         self.profile = profile
         self.backend = backend or get_backend(crypto_library)
         buffer_size = (pipeline_buffer_size
@@ -219,16 +223,9 @@ class SimulatedDevice:
 
     # -- cost draining -----------------------------------------------------------
 
-    def _flash_devices(self) -> "list[FlashMemory]":
-        devices = []
-        for slot in self.layout.slots:
-            if all(slot.flash is not d for d in devices):
-                devices.append(slot.flash)
-        return devices
-
     def _drain_flash(self, phase: str) -> None:
         hidden = phase == "propagation" and self.flash_overlaps_radio
-        for flash in self._flash_devices():
+        for flash in self.flash_devices:
             busy = flash.stats.busy_seconds
             if busy > 0:
                 if not hidden:

@@ -259,3 +259,150 @@ def test_fast_match_finder_identical_on_random_and_patch_data():
     fast = compress(patch)
     assert fast == _reference_compress(patch)
     assert decompress(fast) == patch
+
+
+# -- the streaming decoder against a byte-wise reference ------------------------
+
+
+class ByteWiseDecoder:
+    """The decoder as a device would run it: one byte at a time, every
+    back-reference copied byte by byte out of the full history."""
+
+    def __init__(self):
+        self.history = bytearray()
+        self.flags = 0
+        self.remaining = 0
+        self.pending = bytearray()   # bytes of an unfinished back-reference
+
+    def feed(self, chunk):
+        out = bytearray()
+        for byte in chunk:
+            if self.remaining == 0:
+                self.flags, self.remaining = byte, 8
+                continue
+            if self.flags & 1:
+                out.append(byte)
+                self.history.append(byte)
+            else:
+                self.pending.append(byte)
+                if len(self.pending) < 2:
+                    continue
+                token = (self.pending[0] << 8) | self.pending[1]
+                if token & 0x0F == 0x0F:
+                    if len(self.pending) < 3:
+                        continue
+                    length = MIN_MATCH + 15 + self.pending[2]
+                else:
+                    length = MIN_MATCH + (token & 0x0F)
+                dist = (token >> 4) + 1
+                if dist > len(self.history):
+                    raise LzssError(
+                        "back-reference distance %d exceeds window %d"
+                        % (dist, len(self.history)))
+                for _ in range(length):
+                    out.append(self.history[-dist])
+                    self.history.append(self.history[-dist])
+                self.pending.clear()
+            self.flags >>= 1
+            self.remaining -= 1
+        return bytes(out)
+
+    def finish(self):
+        if self.pending:
+            raise LzssError("truncated LZSS stream (split back-reference)")
+
+
+def _decode_in_pieces(decoder, stream, cuts):
+    """Per-piece outputs, then the first error's message (or None)."""
+    outputs = []
+    bounds = [0] + sorted(cuts) + [len(stream)]
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            outputs.append(decoder.feed(stream[start:stop]))
+        decoder.finish()
+    except LzssError as exc:
+        return outputs, str(exc)
+    return outputs, None
+
+
+# Low-entropy data, so the stream mixes literals with short, long,
+# overlapping and escape-form back-references.
+firmware_like = st.lists(
+    st.one_of(st.binary(min_size=1, max_size=40),
+              st.tuples(st.sampled_from([b"\x00", b"ab", b"xyz"]),
+                        st.integers(min_value=1, max_value=200))
+              .map(lambda run: run[0] * run[1])),
+    max_size=30,
+).map(b"".join)
+
+
+@st.composite
+def streams_with_cuts(draw):
+    data = draw(firmware_like)
+    stream = compress(data)
+    mutation = draw(st.sampled_from(["none", "truncate", "flip", "random"]))
+    if mutation == "truncate" and stream:
+        stream = stream[:draw(st.integers(0, len(stream) - 1))]
+    elif mutation == "flip" and stream:
+        at = draw(st.integers(0, len(stream) - 1))
+        flip = draw(st.integers(1, 255))
+        stream = stream[:at] + bytes([stream[at] ^ flip]) + stream[at + 1:]
+    elif mutation == "random":
+        stream = draw(st.binary(max_size=300))
+    cuts = draw(st.lists(st.integers(0, len(stream)), max_size=12))
+    return data, mutation, stream, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams_with_cuts())
+def test_decoder_matches_byte_wise_reference_at_any_split(case):
+    data, mutation, stream, cuts = case
+    got = _decode_in_pieces(LzssDecoder(), stream, cuts)
+    assert got == _decode_in_pieces(ByteWiseDecoder(), stream, cuts)
+    if mutation == "none":
+        assert got == (got[0], None) and b"".join(got[0]) == data
+
+
+def test_decoder_errors_name_distance_and_truncation():
+    token = ((100 - 1) << 4) | 0
+    for decoder in (LzssDecoder(), ByteWiseDecoder()):
+        # Three literals, then a reference 100 bytes back.
+        with pytest.raises(LzssError,
+                           match="^back-reference distance 100 exceeds "
+                                 "window 3$"):
+            decoder.feed(bytes([0x07]) + b"abc" + bytes([token >> 8]) +
+                         bytes([token & 0xFF]))
+    # At the boundary: a reference exactly as far back as the output.
+    for dist, error in ((3, None),
+                        (4, "back-reference distance 4 exceeds window 3")):
+        token = (dist - 1) << 4
+        stream = bytes([0x07]) + b"abc" + bytes([token >> 8, token & 0xFF])
+        for decoder in (LzssDecoder(), ByteWiseDecoder()):
+            assert _decode_in_pieces(decoder, stream, [2]) == (
+                ([b"a", b"bcabc"], None) if error is None else ([b"a"],
+                                                                error))
+    for decoder in (LzssDecoder(), ByteWiseDecoder()):
+        decoder.feed(bytes([0x01]) + b"a" + bytes([0x00]))
+        with pytest.raises(LzssError, match="^truncated LZSS stream"):
+            decoder.finish()
+
+
+@pytest.mark.parametrize("piece", [1, 3, 255, 4096, 9000])
+@pytest.mark.parametrize("shape", ["runs", "period"])
+def test_decoder_matches_reference_past_window_trims(piece, shape):
+    import random
+    rng = random.Random(piece)
+    if shape == "runs":
+        data = b"".join(
+            bytes(rng.randrange(256) for _ in range(rng.randrange(1, 30)))
+            + b"\x00" * rng.randrange(0, 400)
+            for _ in range(300))
+    else:
+        # Every match reaches back exactly the whole window.
+        data = bytes(rng.randrange(256) for _ in range(WINDOW_SIZE)) * 5
+    assert len(data) > 4 * WINDOW_SIZE
+    stream = compress(data)
+    cuts = list(range(piece, len(stream), piece))
+    got = _decode_in_pieces(LzssDecoder(), stream, cuts)
+    assert got == _decode_in_pieces(ByteWiseDecoder(), stream, cuts)
+    assert b"".join(got[0]) == data
