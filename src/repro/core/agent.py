@@ -100,9 +100,7 @@ def inspect_slot(slot: Slot) -> Optional[SignedManifest]:
 
 class _NonceSource:
     """Deterministic per-device nonce stream (devices lack good entropy;
-    RFC 6979-style derivation keeps runs reproducible).  A class, not a
-    closure, so agents survive the trip to a process-pool worker with
-    their counter state intact."""
+    RFC 6979-style derivation keeps runs reproducible)."""
 
     def __init__(self, profile: DeviceProfile) -> None:
         self._seed = profile.device_id.to_bytes(4, "big")

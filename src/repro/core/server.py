@@ -95,8 +95,7 @@ class UpdateServer:
         #: Envelope-signing override: the serve plane's signer pool
         #: passes a closure that signs through the shared fast engine
         #: and the single-flight signature cache.  Byte-identical to
-        #: ``identity.sign`` by the engine-parity contract; not pickled
-        #: (process-pool workers fall back to ``identity.sign``).
+        #: ``identity.sign`` by the engine-parity contract.
         self._sign_fn = sign_fn
         self.delta_cache_size = delta_cache_size
         self.stats = ServerStats()
@@ -250,58 +249,3 @@ class UpdateServer:
                 with self._stats_lock:
                     self.stats.delta_cache_evictions += 1
         return delta
-
-    # -- fleet plumbing --------------------------------------------------------
-
-    def export_deltas_since(
-        self, keys: "set[tuple[int, int]]"
-    ) -> "Dict[tuple[int, int], bytes]":
-        """Delta-cache entries added since ``keys`` was snapshotted."""
-        with self._delta_lock:
-            return {key: value
-                    for key, value in self._delta_cache.items()
-                    if key not in keys}
-
-    def delta_cache_keys(self) -> "set[tuple[int, int]]":
-        with self._delta_lock:
-            return set(self._delta_cache)
-
-    def adopt_deltas(
-        self, entries: "Dict[tuple[int, int], bytes]"
-    ) -> None:
-        """Adopt deltas generated by a process-pool worker.
-
-        Existing keys win (the bytes are identical by construction);
-        the LRU bound still applies, so adopting cannot grow the cache
-        past ``delta_cache_size``.
-        """
-        with self._delta_lock:
-            for key, delta in entries.items():
-                if key not in self._delta_cache:
-                    self._delta_cache[key] = delta
-            while len(self._delta_cache) > self.delta_cache_size:
-                self._delta_cache.popitem(last=False)
-                with self._stats_lock:
-                    self.stats.delta_cache_evictions += 1
-
-    def merge_stats(self, other: ServerStats) -> None:
-        """Fold counters from a process-pool worker's server copy."""
-        with self._stats_lock:
-            mine = self.stats
-            for name, value in other.to_dict().items():
-                setattr(mine, name, getattr(mine, name) + value)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_stats_lock"]
-        del state["_delta_lock"]
-        # Signer-pool closures hold an executor; workers re-sign via the
-        # identity (byte-identical output, so parity is unaffected).
-        state["_sign_fn"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
-        self._delta_lock = threading.Lock()
-        self.__dict__.setdefault("_sign_fn", None)

@@ -46,8 +46,6 @@ __all__ = [
     "CryptoEngine",
     "ReferenceEngine",
     "FastEngine",
-    "ContentVerifyCache",
-    "ContentCacheStats",
     "SignatureCache",
     "SignatureCacheStats",
     "available_engines",
@@ -87,101 +85,6 @@ class EngineStats:
             "key_tables_built": self.key_tables_built,
             "key_tables_evicted": self.key_tables_evicted,
         }
-
-    def diff(self, baseline: "EngineStats") -> "EngineStats":
-        """Field-wise ``self - baseline`` (a worker's contribution)."""
-        return EngineStats(
-            verify_calls=self.verify_calls - baseline.verify_calls,
-            verify_cache_hits=(self.verify_cache_hits
-                               - baseline.verify_cache_hits),
-            key_tables_built=(self.key_tables_built
-                              - baseline.key_tables_built),
-            key_tables_evicted=(self.key_tables_evicted
-                                - baseline.key_tables_evicted),
-        )
-
-
-@dataclass
-class ContentCacheStats:
-    """Hit/miss counters for the shared content-verify LRU.
-
-    Kept separate from :class:`EngineStats` so the per-signature
-    verification counters (and every artifact that embeds them) stay
-    byte-stable across PRs.
-    """
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def calls(self) -> int:
-        return self.hits + self.misses
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
-
-
-class ContentVerifyCache:
-    """Shared verify-LRU keyed by ``(public key, content digest)``.
-
-    The per-signature verification cache (:class:`FastEngine`'s
-    ``(pubkey, r, s, digest)`` LRU) answers "have I verified *this
-    signature* before".  Fleet campaigns need the coarser question:
-    "has *this content* already been verified under *this key*" —
-    e.g. the vendor signature over a release's canonical manifest,
-    which is identical for every device in a wave.  Because signing is
-    deterministic (RFC 6979), a (key, digest) pair maps to exactly one
-    valid signature, so memoising the verdict by content is sound: the
-    first device in a wave pays the scalar math, the other 999,999 hit
-    this cache.
-
-    Lock-protected like the engine's own caches — the thread-pool wave
-    executor calls in concurrently.  Only ``True`` verdicts are
-    cached: a failed verification is never served from memory, so a
-    tampered signature cannot hide behind an earlier honest one.
-    """
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.stats = ContentCacheStats()
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, bool]" = OrderedDict()
-
-    def verify(self, engine: "CryptoEngine", point: Point, r: int, s: int,
-               digest: bytes) -> bool:
-        key = (point.x, point.y, bytes(digest))
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return True
-        ok = engine.ecdsa_verify(point, r, s, digest)
-        with self._lock:
-            self.stats.misses += 1
-            if ok:
-                self._entries[key] = True
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-        return ok
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats_snapshot(self) -> ContentCacheStats:
-        with self._lock:
-            return ContentCacheStats(**self.stats.to_dict())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats.reset()
 
 
 @dataclass
@@ -223,11 +126,10 @@ class SignatureCache:
     """Single-flight memo for deterministic (RFC 6979) signatures.
 
     Signing is deterministic, so ``(private key, digest)`` maps to
-    exactly one signature — memoising the bytes is sound the same way
-    the :class:`ContentVerifyCache` verdict memo is.  The serve plane's
-    signer pool shares one instance across its worker threads: when a
-    wave of devices resolves manifests for the same release payload,
-    the first worker pays the scalar multiplication and every
+    exactly one signature and memoising the bytes is sound.  The serve
+    plane's signer pool shares one instance across its worker threads:
+    when a wave of devices resolves manifests for the same release
+    payload, the first worker pays the scalar multiplication and every
     concurrent duplicate *waits on the in-flight result* instead of
     re-deriving the nonce — the accounting distinguishes those
     coalesced waiters from plain cache hits.
@@ -415,8 +317,6 @@ class FastEngine(CryptoEngine):
             = OrderedDict()
         self._key_uses: Dict[Tuple[int, int], int] = {}
         self._verify_cache: "OrderedDict[tuple, bool]" = OrderedDict()
-        #: Shared (key, digest) verify memo for fleet-scale campaigns.
-        self.content_cache = ContentVerifyCache()
 
     # -- digests ----------------------------------------------------------
 
@@ -457,19 +357,6 @@ class FastEngine(CryptoEngine):
             while len(self._verify_cache) > self.verify_cache_size:
                 self._verify_cache.popitem(last=False)
         return ok
-
-    def verify_content(self, point: Point, r: int, s: int,
-                       digest: bytes) -> bool:
-        """Verify through the shared (key, digest) content cache.
-
-        Used by the columnar fleet path where every device in a wave
-        verifies the same vendor signature over the same canonical
-        manifest digest: the first call does the scalar math (still
-        counted in :class:`EngineStats` and eligible for the signature
-        LRU), repeats return from the content memo without touching
-        the curve at all.
-        """
-        return self.content_cache.verify(self, point, r, s, digest)
 
     # -- table management -------------------------------------------------
 
@@ -514,20 +401,6 @@ class FastEngine(CryptoEngine):
         with self._lock:
             return EngineStats(**self.stats.to_dict())
 
-    def merge_stats(self, delta: EngineStats) -> None:
-        """Fold a process-pool worker's counter deltas into this engine.
-
-        Worker processes run on forked engine copies; their hit/miss
-        counts would otherwise vanish with the worker.  Taken under the
-        same lock that guards the hot-path increments, so totals stay
-        exact under concurrent merges.
-        """
-        with self._lock:
-            self.stats.verify_calls += delta.verify_calls
-            self.stats.verify_cache_hits += delta.verify_cache_hits
-            self.stats.key_tables_built += delta.key_tables_built
-            self.stats.key_tables_evicted += delta.key_tables_evicted
-
     def clear_caches(self) -> None:
         """Drop every cache and table (cold-start benchmarking)."""
         with self._lock:
@@ -536,7 +409,6 @@ class FastEngine(CryptoEngine):
             self._key_uses.clear()
             self._verify_cache.clear()
             self.stats.reset()
-        self.content_cache.clear()
 
 
 _ENGINES: Dict[str, CryptoEngine] = {

@@ -15,10 +15,9 @@ the bsdiff+LZSS cost exactly once.  ``params`` carries the product kind
 and any generation parameters (e.g. ``b"bsdiff+lzss"``), giving each
 product family its own key domain.
 
-The cache is memory-bounded (LRU by stored payload bytes), thread-safe,
-and pickle-friendly: process-pool workers carry a copy whose fresh
-entries the parent merges back.  A ``max_bytes`` of 0 disables storage
-entirely — every lookup misses and the producer runs, which the tests
+The cache is memory-bounded (LRU by stored payload bytes) and
+thread-safe: the thread-pool wave executor prepares deltas through one
+shared instance.  A ``max_bytes`` of 0 disables storage entirely — every lookup misses and the producer runs, which the tests
 use to prove campaign reports are byte-identical with and without the
 cache.
 """
@@ -148,52 +147,6 @@ class ArtifactCache:
         if cached is not None:
             return cached
         return self.put(key, producer())
-
-    # -- fleet plumbing --------------------------------------------------------
-
-    def snapshot_keys(self) -> "set[bytes]":
-        """Current key set (cheap; used to diff worker caches)."""
-        with self._lock:
-            return set(self._entries)
-
-    def export_since(self, keys: "set[bytes]") -> Dict[bytes, bytes]:
-        """Entries added since ``keys`` was snapshotted."""
-        with self._lock:
-            return {key: entry.value
-                    for key, entry in self._entries.items()
-                    if key not in keys}
-
-    def merge(self, produced: Dict[bytes, bytes]) -> int:
-        """Adopt artifacts produced elsewhere (e.g. a pool worker).
-
-        Existing keys are left untouched — content addressing makes the
-        values identical anyway, and skipping them preserves LRU order.
-        Returns the number of newly adopted entries.
-        """
-        adopted = 0
-        for key, value in produced.items():
-            with self._lock:
-                known = key in self._entries
-            if not known:
-                self.put(key, value)
-                adopted += 1
-        return adopted
-
-    def merge_stats(self, other: ArtifactStats) -> None:
-        """Fold a worker's hit/miss/eviction counts into this cache."""
-        with self._lock:
-            self.stats.hits += other.hits
-            self.stats.misses += other.misses
-            self.stats.evictions += other.evictions
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 _shared: Optional[ArtifactCache] = None

@@ -32,13 +32,9 @@ from .columnar import (
     ROW_DTYPE,
 )
 from .executor import (
-    Calibration,
     ParallelWaveExecutor,
-    ProcessWaveExecutor,
     SerialWaveExecutor,
     WaveExecutor,
-    calibrate,
-    select_executor,
 )
 from .scale import (
     ScaleCampaign,
@@ -53,7 +49,6 @@ __all__ = [
     "BreakerPolicy",
     "BreakerState",
     "CAUTION_TRANSPORT_RETRY",
-    "Calibration",
     "Campaign",
     "CampaignJournal",
     "CampaignReport",
@@ -68,7 +63,6 @@ __all__ = [
     "EventScheduler",
     "JOURNAL_KINDS",
     "ParallelWaveExecutor",
-    "ProcessWaveExecutor",
     "ROW_DTYPE",
     "RetryBudget",
     "RetryGovernor",
@@ -78,10 +72,8 @@ __all__ = [
     "ScaleReport",
     "SerialWaveExecutor",
     "WaveExecutor",
-    "calibrate",
     "drive_attempt",
     "finalize_failed",
     "post_mortem_phases",
-    "select_executor",
     "transport_for",
 ]

@@ -1,12 +1,12 @@
 """Columnar fleet membership: one numpy row per device, not one object.
 
-The sparse-flash pickle path (PR 5) costs ~33 KB per hydrated device
-record; a million-device campaign would need ~33 GB before the first
-wave admits.  This module keeps fleet membership in a numpy structured
-array — device id, firmware version, installed-slot digest, health
-score, attempt/interruption counters, lifecycle phase, campaign state,
-cohort id, next-event time, and the per-device outcome aggregates the
-report needs — at :data:`ROW_DTYPE` ``.itemsize`` bytes per row
+A hydrated device record carries a full simulator (flash pages,
+agent, bootloader, telemetry); a million-device campaign would need
+tens of GB before the first wave admits.  This module keeps fleet
+membership in a numpy structured array — device id, firmware
+version, installed-slot digest, health score, attempt/interruption
+counters, lifecycle phase, campaign state, cohort id, next-event time,
+and the per-device outcome aggregates the report needs — at :data:`ROW_DTYPE` ``.itemsize`` bytes per row
 (~100 B).  A full :class:`~repro.sim.SimulatedDevice` exists only for
 the window where a device is actively transferring/verifying (see
 :mod:`repro.fleet.scale`), then folds back into its row.

@@ -1,10 +1,11 @@
 """Fleet-scale campaigns: event-driven rollout over columnar state.
 
 The hydrated :class:`~repro.fleet.campaign.Campaign` materialises one
-:class:`~repro.sim.SimulatedDevice` per fleet member — ~33 KB per
-sparse-flash pickle, ~33 GB for a million devices.  This module runs
-the *same* rollout (same policies, same per-attempt driver, same
-verdict sequence) with three structural changes:
+:class:`~repro.sim.SimulatedDevice` per fleet member — flash pages,
+agent, bootloader and telemetry for every device, tens of GB for a
+million of them.  This module runs the *same* rollout (same policies,
+same per-attempt driver, same verdict sequence) with three structural
+changes:
 
 * **Columnar membership** — the fleet is a
   :class:`~repro.fleet.columnar.ColumnarFleet`: one numpy row per
@@ -24,11 +25,11 @@ verdict sequence) with three structural changes:
   (:meth:`~repro.obs.slo.FleetTelemetry.close_wave_arrays`).
 
 The crypto hot path is batched: the vendor signature over the
-release's canonical manifest is verified once per wave through the
-engine's shared :class:`~repro.crypto.engine.ContentVerifyCache`
-(so: once per campaign), and "which rows now run the target image"
-is one vectorised slot-digest comparison instead of a per-device
-hash-and-compare.
+release's canonical manifest is verified once per wave admission —
+under the fast engine only the first pays the scalar math, the rest
+hit the engine's ``(pubkey, r, s, digest)`` signature LRU — and
+"which rows now run the target image" is one vectorised slot-digest
+comparison instead of a per-device hash-and-compare.
 
 **Parity contract** (enforced by ``tests/test_fleet_columnar.py``):
 for any fleet whose devices the hydrated campaign could also run, the
@@ -62,7 +63,7 @@ except ImportError:  # pragma: no cover
 
 from ..core import UpdateServer
 from ..crypto.ecdsa import Signature
-from ..crypto.engine import FastEngine, get_engine
+from ..crypto.engine import get_engine
 from ..faults.domains import DomainPlan
 from ..net.link import BLE_GATT, COAP_6LOWPAN
 from ..obs.health import WaveArrays
@@ -439,10 +440,7 @@ class ScaleCampaign:
                 members=members, record=record))
         wave.open_tasks = len(wave.tasks)
 
-        # First attempts fan out through the wave executor.  A closure
-        # (no ``__self__``) keeps the process-pool executor on its
-        # in-process fallback: representatives carry live device state
-        # the campaign folds back, which must not fork away.
+        # First attempts fan out through the wave executor.
         server, transport_retry = self.server, self._transport_retry()
 
         def first_attempt(record: DeviceRecord, target: int):
@@ -623,24 +621,15 @@ class ScaleCampaign:
     def _verify_release_batched(self) -> None:
         """Verify the vendor signature once per wave admission.
 
-        Through the fast engine's (key, digest) content cache the
-        scalar math runs once per *campaign*; each device's own
-        in-pipeline verification then hits the engine's signature LRU.
-        Without anchors (or on the reference engine) this is a plain
-        per-wave verify — still one per wave, not one per device.
+        Under the fast engine the scalar math runs once per *campaign*:
+        every later wave, and each device's own in-pipeline
+        verification, hits the engine's signature LRU.  Without anchors
+        this is a no-op.
         """
         if self.anchors is None:
             return
-        signature = self._vendor_signature
-        engine = get_engine()
-        if isinstance(engine, FastEngine):
-            ok = engine.verify_content(self.anchors.vendor.point,
-                                       signature.r, signature.s,
-                                       self._vendor_digest)
-        else:
-            ok = self.anchors.vendor.verify_digest(signature,
-                                                   self._vendor_digest)
-        if not ok:
+        if not self.anchors.vendor.verify_digest(self._vendor_signature,
+                                                 self._vendor_digest):
             raise AssertionError(
                 "vendor signature failed batched verification for "
                 "version %d" % self._target)

@@ -132,17 +132,6 @@ class BlackBox:
         self.capacity = self.flash.size // RECORD_SIZE
         self._next_seq, self._next_index = self._scan()
 
-    def __getstate__(self) -> dict:
-        # Same contract as Tracer: the owner rebinds now_fn on restore.
-        state = self.__dict__.copy()
-        state["now_fn"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.now_fn is None:
-            self.now_fn = lambda: 0.0
-
     # -- mounting ------------------------------------------------------------
 
     def _decode(self, raw: bytes) -> Optional[BlackBoxRecord]:

@@ -43,25 +43,7 @@ WAVE_SECONDS_BUCKETS = UPDATE_LATENCY_BUCKETS
 HOST_SECONDS_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
 
 
-class _Picklable:
-    """Pickle support shared by the metric types.
-
-    Locks cannot cross a process boundary; they are dropped on pickle
-    and recreated fresh on restore.  Process-pool workers get their own
-    locks — mutation never spans processes, merges happen explicitly.
-    """
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
-class Counter(_Picklable):
+class Counter:
     """Monotonically increasing count."""
 
     kind = "counter"
@@ -83,7 +65,7 @@ class Counter(_Picklable):
         return self.value
 
 
-class Gauge(_Picklable):
+class Gauge:
     """A value that can go anywhere (last write wins)."""
 
     kind = "gauge"
@@ -107,7 +89,7 @@ class Gauge(_Picklable):
         return self.value
 
 
-class Histogram(_Picklable):
+class Histogram:
     """Fixed-bucket histogram (cumulative counts, like Prometheus).
 
     ``buckets`` are inclusive upper bounds; one overflow bucket
@@ -254,21 +236,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = dict(self._metrics)
         return [metrics[name] for name in sorted(metrics)]
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        # Collectors are local closures over live objects (devices,
-        # engines, servers) — unpicklable by design.  Owners that
-        # travel to a worker re-bind their collectors on restore (see
-        # SimulatedDevice.__setstate__); the metric values themselves
-        # survive the trip.
-        state["_collectors"] = []
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def format_table(self, snapshot: Optional[Dict[str, Any]] = None) -> str:
         """Fixed-width summary table of a snapshot."""

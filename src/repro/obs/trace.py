@@ -163,18 +163,6 @@ class Tracer:
         self._next_id = 1
         self._next_lane = 1
 
-    def __getstate__(self) -> dict:
-        # now_fn is normally a closure over a live clock, and neither a
-        # ContextVar nor a lock pickles.  A restored tracer gets fresh
-        # ones; its owner (SimulatedDevice) re-points now_fn.
-        state = self.__dict__.copy()
-        del state["now_fn"], state["_current"], state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        self.__dict__.update(state)
-
     # -- recording ----------------------------------------------------------
 
     def _open(self, name: str, category: str, start: float,

@@ -12,24 +12,22 @@ depends on, under both crypto engines and both wave executors:
   independent, but it gates campaign start-up);
 * end-to-end campaign throughput (devices/s) on a seeded fleet, for
   the seed path (reference engine, serial executor), the fast engine
-  alone, the fast engine + thread-pool executor, and the fast engine +
-  process-pool executor — asserting along the way that every
-  configuration produces the *identical*
+  alone, and the fast engine + thread-pool executor — asserting along
+  the way that every configuration produces the *identical*
   :class:`~repro.fleet.campaign.CampaignReport`.
 
 The campaign runs under two **profiles**:
 
 * ``campaign`` (CPU profile) — pure simulation, no host-paced waits.
-  On a single-core host this is where the GIL finding shows up: the
-  pooled executors *lose* to serial (threads serialise on the GIL,
-  processes pay pickle + fork with no second core to win it back).
+  This is where the GIL finding shows up: the thread pool *loses* to
+  serial because threads serialise on the GIL.
   :func:`find_inversions` names these inversions; ``cli bench
   --strict`` turns them into a nonzero exit.
 * ``campaign_io`` (I/O profile) — each request round-trip sleeps a
   host RTT (:class:`~repro.net.transports` ``host_rtt_seconds``),
   modeling a live network between campaign runner and update server.
   Sleeps release the GIL and never touch the virtual clock, so the
-  pooled executors overlap them and win while reports stay
+  thread pool overlaps them and wins while reports stay
   byte-identical.
 
 Results are written to ``BENCH_fleet.json`` (repo root by convention)
@@ -52,9 +50,6 @@ subset inside tier-1.
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -78,18 +73,16 @@ from ..fleet import (
     DeviceRecord,
     DeviceSpec,
     ParallelWaveExecutor,
-    ProcessWaveExecutor,
     RolloutPolicy,
     ScaleCampaign,
     SerialWaveExecutor,
-    calibrate,
 )
 from ..memory import MemoryLayout
 from ..obs import MetricsRegistry, bind_engine, bind_server
 from ..platform import NRF52840, ZEPHYR
 from ..sim import SimulatedDevice
 from ..workload import FirmwareGenerator
-from .report import write_report
+from .report import host_info, write_report
 
 __all__ = [
     "bench_sha256",
@@ -414,19 +407,14 @@ def bench_fleet_scale(device_count: int = 10_000,
 
     Runs a :class:`~repro.fleet.ScaleCampaign` over ``device_count``
     columnar rows (hydrating only cohort representatives), recording
-    devices/s, peak RSS (``resource.getrusage``), columnar bytes/row
-    and — for the memory-per-device trajectory the ROADMAP tracks —
-    the sparse-flash pickle cost of one fully hydrated record.  A
-    ``sample_devices``-sized hydrated-vs-columnar parity cross-check
-    runs first and the artifact records its verdict.
+    devices/s, peak RSS (``resource.getrusage``) and columnar
+    bytes/row.  A ``sample_devices``-sized hydrated-vs-columnar parity
+    cross-check runs first and the artifact records its verdict.
     """
     import resource
 
     parity = _sampled_parity(sample_devices, image_size)
     campaign = _build_scale_campaign(device_count, image_size)
-    sample_record = campaign.hydrator(campaign.fleet.spec(0))
-    pickle_bytes = len(pickle.dumps(sample_record,
-                                    protocol=pickle.HIGHEST_PROTOCOL))
     with use_engine("fast") as engine:
         engine.clear_caches()
         start = time.perf_counter()
@@ -442,7 +430,6 @@ def bench_fleet_scale(device_count: int = 10_000,
         "scale_seconds": round(elapsed, 3),
         "devices_per_s": round(device_count / elapsed, 1),
         "peak_rss_kb": peak_rss_kb,
-        "pickle_bytes_per_record": pickle_bytes,
         "sampled_parity": parity,
         "sample_devices": sample_devices,
     })
@@ -453,14 +440,13 @@ def bench_campaign(device_count: int = 50,
                    image_size: int = 24 * 1024,
                    max_workers: Optional[int] = None,
                    host_rtt_seconds: float = 0.0,
-                   include_reference: bool = True,
-                   process_workers: Optional[int] = None
+                   include_reference: bool = True
                    ) -> Dict[str, object]:
     """End-to-end campaign throughput per engine/executor configuration.
 
-    Four configurations by default — reference engine + serial executor
-    (the seed path), fast engine + serial, fast engine + thread pool,
-    fast engine + process pool.  ``include_reference=False`` drops the
+    Three configurations by default — reference engine + serial
+    executor (the seed path), fast engine + serial, fast engine +
+    thread pool.  ``include_reference=False`` drops the
     slow seed path (used for the I/O profile, where only the executor
     comparison is interesting).  Every configuration must produce the
     identical :class:`CampaignReport` or the bench raises.
@@ -472,9 +458,6 @@ def bench_campaign(device_count: int = 50,
     configurations.append(("fast_serial", "fast", SerialWaveExecutor()))
     configurations.append(
         ("fast_parallel", "fast", ParallelWaveExecutor(max_workers=max_workers)))
-    configurations.append(
-        ("fast_process", "fast",
-         ProcessWaveExecutor(max_workers=process_workers or max_workers or 2)))
     results: Dict[str, object] = {
         "devices": device_count,
         "image_bytes": image_size,
@@ -531,8 +514,6 @@ def bench_campaign(device_count: int = 50,
             / results["fast_parallel_seconds"], 2)
     results["thread_speedup"] = round(
         results["fast_serial_seconds"] / results["fast_parallel_seconds"], 2)
-    results["process_speedup"] = round(
-        results["fast_serial_seconds"] / results["fast_process_seconds"], 2)
     if isinstance(max_workers, int):
         results["max_workers"] = max_workers
     results["crypto_stats"] = crypto_stats
@@ -544,10 +525,10 @@ def bench_campaign(device_count: int = 50,
 def find_inversions(results: Dict[str, object]) -> List[str]:
     """Name every executor inversion in a bench result document.
 
-    An *inversion* is a pooled executor (threads or processes) running
-    *slower* than the serial executor under the same engine — the
-    empirical GIL finding on single-core hosts.  Returns human-readable
-    descriptions; ``cli bench`` prints them as warnings and ``--strict``
+    An *inversion* is the thread-pool executor running *slower* than
+    the serial executor under the same engine — the empirical GIL
+    finding on CPU-bound waves.  Returns human-readable descriptions;
+    ``cli bench`` prints them as warnings and ``--strict``
     turns a non-empty list into a nonzero exit.  Tolerates partial or
     synthetic documents: sections and metrics that are absent are
     simply skipped.
@@ -560,13 +541,12 @@ def find_inversions(results: Dict[str, object]) -> List[str]:
         serial = data.get("fast_serial_seconds")
         if not isinstance(serial, (int, float)) or serial <= 0:
             continue
-        for pooled in ("fast_parallel", "fast_process"):
-            value = data.get("%s_seconds" % pooled)
-            if isinstance(value, (int, float)) and value > serial:
-                inversions.append(
-                    "%s: %s (%.3f s) is slower than fast_serial (%.3f s) "
-                    "— pooled execution loses on this host/profile"
-                    % (section, pooled, value, serial))
+        value = data.get("fast_parallel_seconds")
+        if isinstance(value, (int, float)) and value > serial:
+            inversions.append(
+                "%s: fast_parallel (%.3f s) is slower than fast_serial "
+                "(%.3f s) — pooled execution loses on this host/profile"
+                % (section, value, serial))
     return inversions
 
 
@@ -591,17 +571,12 @@ def run_all(device_count: int = 50, image_size: int = 24 * 1024,
     io_workers = max_workers or 8
     campaign_io = bench_campaign(
         device_count, image_size, max_workers=io_workers,
-        host_rtt_seconds=io_rtt_seconds, include_reference=False,
-        process_workers=io_workers)
+        host_rtt_seconds=io_rtt_seconds, include_reference=False)
     for key in ("crypto_stats", "server_stats", "metrics"):
         campaign_io.pop(key, None)
     results = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": {
-            "python": sys.version.split()[0],
-            "cpu_count": os.cpu_count(),
-        },
-        "calibration": calibrate().to_dict(),
+        "host": host_info(),
         "sha256": bench_sha256(),
         "ecdsa_verify": bench_verify(),
         "delta_generation": bench_delta(),
@@ -623,10 +598,7 @@ def run_delta(image_size: int = 96 * 1024) -> Dict[str, object]:
     """Run the delta fast-path benchmark; returns the JSON document."""
     return {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": {
-            "python": sys.version.split()[0],
-            "cpu_count": os.cpu_count(),
-        },
+        "host": host_info(),
         "delta_fastpath": bench_delta_fastpath(image_size),
     }
 
@@ -648,9 +620,8 @@ GATE_METRICS = ("reference_serial_seconds", "fast_serial_seconds",
                 "fast_parallel_seconds")
 
 #: I/O-profile wall-clock metrics, gated only when both artifacts carry
-#: a ``campaign_io`` section (older baselines predate it).
-IO_GATE_METRICS = ("fast_serial_seconds", "fast_parallel_seconds",
-                   "fast_process_seconds")
+#: a ``campaign_io`` section.
+IO_GATE_METRICS = ("fast_serial_seconds", "fast_parallel_seconds")
 
 #: Delta-generation wall-clock metrics, gated only when both artifacts
 #: carry a ``delta_generation`` section.
@@ -695,12 +666,19 @@ def compare_to_baseline(results: Dict[str, object],
 
     Returns human-readable problems (empty = no regression): any
     :data:`GATE_METRICS` entry more than ``tolerance`` slower than the
-    baseline, a baseline from a different workload (device count or
-    image size), or a baseline missing the gated metrics entirely.
-    Getting *faster* never trips the gate.
+    baseline, a baseline from a different host (core count) or workload
+    (device count or image size), or a baseline missing the gated
+    metrics entirely.  Getting *faster* never trips the gate.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
+    cur_host = results.get("host")
+    base_host = baseline.get("host")
+    if isinstance(cur_host, dict) and isinstance(base_host, dict) \
+            and cur_host.get("cpu_count") != base_host.get("cpu_count"):
+        return ["baseline ran on host cpu_count=%r but this run used %r "
+                "— regenerate the baseline on this host"
+                % (base_host.get("cpu_count"), cur_host.get("cpu_count"))]
     problems: List[str] = []
     current = results.get("campaign")
     base = baseline.get("campaign")
@@ -721,11 +699,6 @@ def compare_to_baseline(results: Dict[str, object],
                     "regenerate the baseline for this workload"
                     % (key, base.get(key), current.get(key))]
     _gate_section(problems, current, base, GATE_METRICS, tolerance)
-    # fast_process landed after the original gate; gate it only when the
-    # baseline already has it, so old baselines keep working.
-    if isinstance(base.get("fast_process_seconds"), (int, float)):
-        _gate_section(problems, current, base, ("fast_process_seconds",),
-                      tolerance)
     # Optional sections — gated only when both artifacts carry them.
     cur_io = results.get("campaign_io")
     base_io = baseline.get("campaign_io")
@@ -907,31 +880,25 @@ def format_summary(results: Dict[str, object]) -> str:
         "               %6.2f -> %6.2f devices/s  (%sx end-to-end)"
         % (camp["reference_serial_devices_per_s"],
            camp["fast_parallel_devices_per_s"], camp["speedup"]),
+        "               cpu profile: serial %.2f s, threads %.2f s"
+        % (camp["fast_serial_seconds"], camp["fast_parallel_seconds"]),
     ]
-    if isinstance(camp.get("fast_process_seconds"), (int, float)):
-        lines.append(
-            "               cpu profile: serial %.2f s, threads %.2f s, "
-            "processes %.2f s"
-            % (camp["fast_serial_seconds"], camp["fast_parallel_seconds"],
-               camp["fast_process_seconds"]))
     camp_io = results.get("campaign_io")
     if isinstance(camp_io, dict):
         lines.append(
             "campaign io  : rtt %.0f ms — serial %.2f s, threads %.2f s "
-            "(%sx), processes %.2f s (%sx)"
+            "(%sx)"
             % (1000.0 * camp_io.get("host_rtt_seconds", 0.0),
                camp_io["fast_serial_seconds"],
-               camp_io["fast_parallel_seconds"], camp_io["thread_speedup"],
-               camp_io["fast_process_seconds"], camp_io["process_speedup"]))
+               camp_io["fast_parallel_seconds"], camp_io["thread_speedup"]))
     scale = results.get("fleet_scale")
     if isinstance(scale, dict):
         lines.append(
             "fleet scale  : %d devices in %.2f s (%.0f devices/s, "
-            "%d hydrations, %d B/row vs %d B pickled, rss %.1f MB)"
+            "%d hydrations, %d B/row, rss %.1f MB)"
             % (scale["devices"], scale["scale_seconds"],
                scale["devices_per_s"], scale["hydrations"],
                scale["columnar_bytes_per_row"],
-               scale["pickle_bytes_per_record"],
                scale["peak_rss_kb"] / 1024.0))
     return "\n".join(lines)
 

@@ -10,18 +10,21 @@ are stamped and validated:
   (from :data:`SCHEMA_VERSIONS`) before writing deterministic,
   sorted-key JSON.
 * :func:`load_report` round-trips any artifact — including *legacy*
-  files written before this module existed (bench's old ``{"schema":
-  1}`` stamp, chaos reports with no stamp at all) — and reports which
-  kind and version it found.
+  chaos reports written before this module existed, with no stamp at
+  all — and reports which kind and version it found.
 * :func:`validate_data` / :func:`validate_file` check an artifact
   against the expectations of its kind, so ``cli report --validate``
   can fail CI on schema drift instead of letting a consumer discover
   it at parse time.
+* :func:`host_info` builds the ``host`` block benchmark artifacts
+  carry, so a baseline gate can refuse runs from another host.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from typing import Dict, List, Tuple
 
 __all__ = [
@@ -31,15 +34,17 @@ __all__ = [
     "load_report",
     "validate_data",
     "validate_file",
+    "host_info",
 ]
 
 #: Current schema version per report kind.  Bump a kind's version when
-#: its document shape changes; teach :func:`validate_data` about the
-#: old shape so existing artifacts keep loading.
+#: its document shape changes.  Bench artifacts validate at the current
+#: version only (older ones must be regenerated); the other kinds still
+#: accept their older shapes.
 SCHEMA_VERSIONS: Dict[str, int] = {"bench": 6, "chaos": 4, "trace": 2,
                                    "fleetview": 1, "delta": 1}
 
-#: Keys every bench-v5+ ``server`` section (the swarm bench artifact,
+#: Keys every bench ``server`` section (the swarm bench artifact,
 #: ``BENCH_server.json``) must carry.
 SERVER_SECTION_KEYS = ("sessions", "failed_sessions", "concurrency",
                        "requests", "elapsed_seconds", "req_per_s",
@@ -47,7 +52,7 @@ SERVER_SECTION_KEYS = ("sessions", "failed_sessions", "concurrency",
                        "endpoint_mix", "peak_rss_kb", "image_bytes",
                        "chunk_bytes")
 
-#: Endpoint classes a bench-v6 server-only artifact must break out —
+#: Endpoint classes a bench server section must break out —
 #: the per-endpoint p50/p99 sections the ``--baseline`` gate compares.
 SERVER_ENDPOINT_CLASSES = ("register", "token", "manifest", "chunk",
                            "report")
@@ -55,6 +60,12 @@ SERVER_ENDPOINT_CLASSES = ("register", "token", "manifest", "chunk",
 
 class ReportError(ValueError):
     """An artifact could not be recognised or failed validation."""
+
+
+def host_info() -> Dict[str, object]:
+    """The ``host`` block stamped into benchmark artifacts."""
+    return {"python": sys.version.split()[0],
+            "cpu_count": os.cpu_count()}
 
 
 def write_report(data: Dict[str, object], path: str, kind: str) -> str:
@@ -69,7 +80,6 @@ def write_report(data: Dict[str, object], path: str, kind: str) -> str:
                           % (kind, ", ".join(sorted(SCHEMA_VERSIONS))))
     data["report_kind"] = kind
     data["schema_version"] = SCHEMA_VERSIONS[kind]
-    data.pop("schema", None)  # pre-versioning bench stamp
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -79,10 +89,9 @@ def write_report(data: Dict[str, object], path: str, kind: str) -> str:
 def load_report(path: str) -> Tuple[str, int, Dict[str, object]]:
     """Read an artifact; returns ``(kind, schema_version, data)``.
 
-    Stamped files are taken at their word.  Legacy files are detected
-    by shape: bench's old ``{"schema": 1}`` stamp, or an unstamped
-    chaos report (recognised by its ``calibration`` + ``results``
-    keys).  Anything else raises :class:`ReportError`.
+    Stamped files are taken at their word.  An unstamped chaos report
+    is recognised by its ``calibration`` + ``results`` keys.  Anything
+    else raises :class:`ReportError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -98,9 +107,6 @@ def load_report(path: str) -> Tuple[str, int, Dict[str, object]]:
                 % (path, kind))
         return str(kind), version, data
 
-    # Legacy detection ----------------------------------------------------
-    if data.get("schema") == 1 and "campaign" in data:
-        return "bench", 1, data
     if "calibration" in data and "results" in data:
         return "chaos", 1, data
     raise ReportError(
@@ -127,90 +133,38 @@ def validate_data(kind: str, version: int,
         return errors
 
     if kind == "bench":
-        # v5 introduced *server-only* bench artifacts (the swarm bench,
-        # BENCH_server.json): a `server` section and none of the core
-        # in-process sections.  Those skip the campaign requirements.
-        server_only = (version >= 5 and "server" in data
-                       and "campaign" not in data)
-        if not server_only:
+        if version < current:
+            return ["bench schema_version %d is older than v%d — "
+                    "regenerate the artifact (cli bench or cli swarm)"
+                    % (version, current)]
+        # Server-only artifacts (the swarm bench, BENCH_server.json)
+        # carry a `server` section and none of the in-process sections.
+        if not ("server" in data and "campaign" not in data):
             errors += _require(data, ["sha256", "ecdsa_verify",
-                                      "delta_generation", "campaign"],
-                               kind)
-            campaign = data.get("campaign")
-            if isinstance(campaign, dict):
-                if campaign.get("reports_identical") is not True:
-                    errors.append("bench campaign reports diverged "
-                                  "between engine configurations")
-            if version >= 2:
-                errors += _require(data, ["crypto_stats",
-                                          "server_stats", "metrics"],
-                                   kind)
-            if version >= 3:
-                errors += _require(data, ["campaign_io",
-                                          "calibration"], kind)
-                campaign_io = data.get("campaign_io")
-                if isinstance(campaign_io, dict):
-                    if campaign_io.get("reports_identical") is not True:
-                        errors.append("bench campaign_io reports "
-                                      "diverged between executor "
-                                      "configurations")
-            if version >= 4:
-                errors += _require(data, ["fleet_scale"], kind)
-                fleet_scale = data.get("fleet_scale")
-                if isinstance(fleet_scale, dict):
-                    errors += ["bench fleet_scale missing key %r" % key
-                               for key in ("devices", "devices_per_s",
-                                           "peak_rss_kb",
-                                           "columnar_bytes_per_row",
-                                           "pickle_bytes_per_record")
-                               if key not in fleet_scale]
-                    if fleet_scale.get("sampled_parity") is not True:
-                        errors.append("bench fleet_scale sampled "
-                                      "per-device entries diverged "
-                                      "from the hydrated path")
-        if version >= 5 and "server" in data:
-            server = data.get("server")
-            if not isinstance(server, dict):
-                errors.append("bench server section must be an object "
-                              "(got %s)" % type(server).__name__)
-            else:
-                errors += ["bench server section missing key %r" % key
-                           for key in SERVER_SECTION_KEYS
-                           if key not in server]
-                if server.get("failed_sessions") != 0:
-                    errors.append(
-                        "bench server run had %r failed sessions — "
-                        "latency/throughput figures are only "
-                        "meaningful over a fully correct run"
-                        % server.get("failed_sessions"))
-                endpoints = server.get("endpoints")
-                if isinstance(endpoints, dict):
-                    for cls, entry in sorted(endpoints.items()):
-                        if not isinstance(entry, dict) or not {
-                                "count", "p50_ms",
-                                "p99_ms"} <= set(entry):
-                            errors.append(
-                                "bench server endpoint %r needs "
-                                "count/p50_ms/p99_ms" % cls)
-                    if version >= 6:
-                        # v6: the per-endpoint gate needs every class
-                        # broken out with real numbers, not just
-                        # whatever classes happened to be present.
-                        for cls in SERVER_ENDPOINT_CLASSES:
-                            entry = endpoints.get(cls)
-                            if not isinstance(entry, dict):
-                                errors.append(
-                                    "bench v6 server section must "
-                                    "break out endpoint %r" % cls)
-                                continue
-                            for metric in ("p50_ms", "p99_ms"):
-                                if not isinstance(entry.get(metric),
-                                                  (int, float)):
-                                    errors.append(
-                                        "bench v6 server endpoint %r "
-                                        "needs a numeric %s"
-                                        % (cls, metric))
-                errors += _server_profile_errors(server)
+                                      "delta_generation", "campaign",
+                                      "crypto_stats", "server_stats",
+                                      "metrics", "campaign_io",
+                                      "fleet_scale"], kind)
+            for section in ("campaign", "campaign_io"):
+                entry = data.get(section)
+                if isinstance(entry, dict) \
+                        and entry.get("reports_identical") is not True:
+                    errors.append("bench %s reports diverged between "
+                                  "engine/executor configurations"
+                                  % section)
+            fleet_scale = data.get("fleet_scale")
+            if isinstance(fleet_scale, dict):
+                errors += ["bench fleet_scale missing key %r" % key
+                           for key in ("devices", "devices_per_s",
+                                       "peak_rss_kb",
+                                       "columnar_bytes_per_row")
+                           if key not in fleet_scale]
+                if fleet_scale.get("sampled_parity") is not True:
+                    errors.append("bench fleet_scale sampled "
+                                  "per-device entries diverged "
+                                  "from the hydrated path")
+        if "server" in data:
+            errors += _server_section_errors(data.get("server"))
     elif kind == "delta":
         errors += _require(data, ["delta_fastpath"], kind)
         fastpath = data.get("delta_fastpath")
@@ -335,8 +289,44 @@ def validate_data(kind: str, version: int,
     return errors
 
 
+def _server_section_errors(server: object) -> List[str]:
+    """Validate a bench ``server`` section (the swarm bench)."""
+    if not isinstance(server, dict):
+        return ["bench server section must be an object (got %s)"
+                % type(server).__name__]
+    errors = ["bench server section missing key %r" % key
+              for key in SERVER_SECTION_KEYS if key not in server]
+    if server.get("failed_sessions") != 0:
+        errors.append(
+            "bench server run had %r failed sessions — "
+            "latency/throughput figures are only "
+            "meaningful over a fully correct run"
+            % server.get("failed_sessions"))
+    endpoints = server.get("endpoints")
+    if isinstance(endpoints, dict):
+        for cls, entry in sorted(endpoints.items()):
+            if not isinstance(entry, dict) or not {
+                    "count", "p50_ms", "p99_ms"} <= set(entry):
+                errors.append("bench server endpoint %r needs "
+                              "count/p50_ms/p99_ms" % cls)
+        # The per-endpoint gate needs every class broken out with
+        # real numbers, not just whatever classes happened to be
+        # present.
+        for cls in SERVER_ENDPOINT_CLASSES:
+            entry = endpoints.get(cls)
+            if not isinstance(entry, dict):
+                errors.append("bench server section must break out "
+                              "endpoint %r" % cls)
+                continue
+            for metric in ("p50_ms", "p99_ms"):
+                if not isinstance(entry.get(metric), (int, float)):
+                    errors.append("bench server endpoint %r needs a "
+                                  "numeric %s" % (cls, metric))
+    return errors + _server_profile_errors(server)
+
+
 def _server_profile_errors(server: Dict[str, object]) -> List[str]:
-    """Validate the optional ``server.profile`` block (v6, from
+    """Validate the optional ``server.profile`` block (from
     ``cli swarm --profile``): a per-endpoint phase breakdown aggregated
     from server tracer spans.  Absent is fine — profiling is opt-in."""
     profile = server.get("profile")

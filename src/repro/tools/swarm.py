@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from ..obs.slo import percentile
 from ..obs.trace import NULL_TRACER, TRACEPARENT_HEADER, Tracer, \
     merge_chrome_traces
+from .report import host_info
 
 __all__ = [
     "DEFAULT_SESSIONS",
@@ -428,7 +429,7 @@ def _run_benchmark(sessions: int, concurrency: int, image_size: int,
         section["signer_pool"]["signature_cache"] = {
             key: cache_after[key] - cache_before[key]
             for key in ("hits", "misses", "coalesced", "evictions")}
-        return {"server": section}
+        return {"host": host_info(), "server": section}
 
     return asyncio.run(main())
 

@@ -16,14 +16,13 @@ and the reboot through the bootloader (slot swap / boot selection).
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Dict, List, Optional
 
 from ..obs import MetricsRegistry, merge_chrome_traces
 from ..sim import Testbed
 from ..workload import FirmwareGenerator
-from .report import write_report
+from .report import host_info, write_report
 
 __all__ = ["run_traced_update", "run_trace", "write_trace",
            "format_summary", "DEFAULT_IMAGE_SIZE"]
@@ -96,7 +95,7 @@ def run_trace(slot_configurations: tuple = ("a", "b"),
     document: Dict[str, object] = dict(merged)
     document["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                              time.gmtime())
-    document["host"] = {"python": sys.version.split()[0]}
+    document["host"] = host_info()
     document["configurations"] = records
     document["metrics"] = metrics
     return document

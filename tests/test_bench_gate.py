@@ -29,8 +29,8 @@ def synthetic(devices=50, image_bytes=24576, serial=14.0, fast=1.8,
     }}
 
 
-def synthetic_full(io_serial=4.0, io_parallel=1.5, io_process=1.8,
-                   delta_total=0.15, **kwargs):
+def synthetic_full(io_serial=4.0, io_parallel=1.5, delta_total=0.15,
+                   **kwargs):
     """A document with the optional campaign_io + delta sections."""
     doc = synthetic(**kwargs)
     doc["campaign_io"] = {
@@ -39,7 +39,6 @@ def synthetic_full(io_serial=4.0, io_parallel=1.5, io_process=1.8,
         "host_rtt_seconds": 0.05,
         "fast_serial_seconds": io_serial,
         "fast_parallel_seconds": io_parallel,
-        "fast_process_seconds": io_process,
     }
     doc["delta_generation"] = {
         "firmware_bytes": 49152,
@@ -117,10 +116,10 @@ def test_optional_sections_are_skipped_when_absent():
 
 
 def test_io_profile_regression_is_named():
-    fresh = synthetic_full(io_process=1.8 * 1.5)
+    fresh = synthetic_full(io_parallel=1.5 * 1.5)
     problems = compare_to_baseline(fresh, synthetic_full())
     assert len(problems) == 1
-    assert "campaign_io fast_process_seconds regressed" in problems[0]
+    assert "campaign_io fast_parallel_seconds regressed" in problems[0]
 
 
 def test_every_io_metric_is_checked():
@@ -155,15 +154,26 @@ def test_delta_workload_mismatch_demands_a_fresh_baseline():
     assert "delta_generation baseline ran firmware_bytes" in problems[0]
 
 
-def test_process_metric_gated_only_when_baseline_has_it():
+def test_baseline_from_another_host_demands_a_fresh_baseline():
     base = synthetic()
-    base["campaign"]["fast_process_seconds"] = 2.5
+    base["host"] = {"python": "3.11.7", "cpu_count": 1}
     fresh = synthetic()
-    fresh["campaign"]["fast_process_seconds"] = 2.5 * 2
-    assert any("fast_process_seconds regressed" in p
-               for p in compare_to_baseline(fresh, base))
-    # Baseline without the metric: not gated, not an error.
-    assert compare_to_baseline(fresh, synthetic()) == []
+    fresh["host"] = {"python": "3.11.7", "cpu_count": 2}
+    problems = compare_to_baseline(fresh, base)
+    assert len(problems) == 1
+    assert "baseline ran on host cpu_count=1" in problems[0]
+    assert "regenerate the baseline" in problems[0]
+
+
+def test_baseline_from_the_same_host_is_gated_normally():
+    base = synthetic()
+    base["host"] = {"python": "3.11.7", "cpu_count": 2}
+    fresh = synthetic(parallel=2.0 * 1.25)
+    fresh["host"] = dict(base["host"])
+    assert compare_to_baseline(synthetic(), base) == []
+    problems = compare_to_baseline(fresh, base)
+    assert len(problems) == 1
+    assert "fast_parallel_seconds regressed" in problems[0]
 
 
 def synthetic_scale(devices=10_000, image_bytes=24576,
@@ -176,7 +186,6 @@ def synthetic_scale(devices=10_000, image_bytes=24576,
         "devices_per_s": devices_per_s,
         "peak_rss_kb": peak_rss_kb,
         "columnar_bytes_per_row": 86,
-        "pickle_bytes_per_record": 33538,
         "sampled_parity": True,
     }
     return doc
@@ -324,11 +333,10 @@ def test_find_inversions_flags_pooled_slower_than_serial():
 
 
 def test_find_inversions_covers_both_profiles_and_pools():
-    doc = synthetic_full(io_serial=1.0, io_parallel=1.5, io_process=2.0)
-    doc["campaign"]["fast_process_seconds"] = 3.0
+    doc = synthetic_full(io_serial=1.0, io_parallel=1.5)
     inversions = find_inversions(doc)
-    assert len(inversions) == 4  # 2 pools x 2 profiles
-    assert any("campaign_io: fast_process" in i for i in inversions)
+    assert len(inversions) == 2  # the thread pool x 2 profiles
+    assert any("campaign_io: fast_parallel" in i for i in inversions)
 
 
 def test_find_inversions_tolerates_sparse_documents():

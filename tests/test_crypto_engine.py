@@ -456,179 +456,21 @@ def test_snapshots_never_tear_under_contention():
     assert torn == []
 
 
-def _hammer_content_verify(cache, engine, jobs, threads):
-    """Run ``jobs`` (point, r, s, digest, expected) through the content
-    cache across ``threads`` — the same 4-thread harness shape as
-    ``_hammer_verify``, aimed at the (key, digest) LRU."""
-    import threading
-
-    errors = []
-    per_thread = [jobs[i::threads] for i in range(threads)]
-
-    def worker(assigned):
-        try:
-            for point, r, s, digest, expected in assigned:
-                assert cache.verify(engine, point, r, s,
-                                    digest) == expected
-        except BaseException as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    workers = [threading.Thread(target=worker, args=(chunk,))
-               for chunk in per_thread]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    assert errors == []
-
-
-def test_content_cache_verifies_identical_images_once():
-    """The batched fleet hot path: one (key, digest) pair — the vendor
-    signature over a release — verifies once, then hits."""
-    from repro.crypto.engine import ContentVerifyCache
-
-    engine = FastEngine()
-    cache = ContentVerifyCache()
-    key = generate_keypair(b"content-once")
-    message = b"release canonical bytes"
-    signature = key.sign(message)
-    digest = hashlib.sha256(message).digest()
-    point = key.public_key().point
-    for _ in range(5):
-        assert cache.verify(engine, point, signature.r, signature.s,
-                            digest)
-    stats = cache.stats_snapshot()
-    assert stats.misses == 1
-    assert stats.hits == 4
-    assert stats.calls == 5
-    assert len(cache) == 1
-
-
-def test_content_cache_verdict_matches_plain_engine_verify():
-    """Cache answers are bit-for-bit the per-device ecdsa_verify path,
-    for valid and tampered signatures alike."""
-    from repro.crypto.ecdsa import P256 as _curve
-    from repro.crypto.engine import ContentVerifyCache
-
-    engine = FastEngine()
-    cache = ContentVerifyCache()
-    key = generate_keypair(b"content-parity")
-    point = key.public_key().point
-    rng = random.Random(0xCACE)
-    for index in range(8):
-        message = b"content %d" % index
-        signature = key.sign(message)
-        digest = hashlib.sha256(message).digest()
-        r = signature.r
-        if index % 2:
-            r = (r ^ (1 << rng.randrange(0, 256))) % _curve.n or 1
-        expected = FastEngine().ecdsa_verify(point, r, signature.s,
-                                             digest)
-        assert cache.verify(engine, point, r, signature.s, digest) \
-            == expected
-
-
-def test_content_cache_never_caches_failures():
-    """A tampered signature is recomputed every call — failure must
-    not be memoised (nor let a later honest verify be poisoned)."""
-    from repro.crypto.engine import ContentVerifyCache
-
-    engine = FastEngine()
-    cache = ContentVerifyCache()
-    key = generate_keypair(b"content-negative")
-    message = b"tampered content"
-    signature = key.sign(message)
-    digest = hashlib.sha256(message).digest()
-    point = key.public_key().point
-    for _ in range(3):
-        assert not cache.verify(engine, point, signature.r ^ 1,
-                                signature.s, digest)
-    stats = cache.stats_snapshot()
-    assert stats.misses == 3 and stats.hits == 0
-    assert len(cache) == 0
-    # The honest signature still verifies (and only now populates).
-    assert cache.verify(engine, point, signature.r, signature.s, digest)
-    assert len(cache) == 1
-
-
-def test_content_cache_is_bounded_lru():
-    from repro.crypto.engine import ContentVerifyCache
-
-    engine = FastEngine()
-    cache = ContentVerifyCache(max_entries=4)
-    key = generate_keypair(b"content-bound")
-    point = key.public_key().point
-    for index in range(10):
-        message = b"content bound %d" % index
-        signature = key.sign(message)
-        digest = hashlib.sha256(message).digest()
-        assert cache.verify(engine, point, signature.r, signature.s,
-                            digest)
-    assert len(cache) == 4
-    with pytest.raises(ValueError):
-        ContentVerifyCache(max_entries=0)
-
-
-def test_content_cache_counters_exact_under_thread_contention():
-    """The 4-thread harness on the content LRU: calls are exact, and
-    hits are bounded below by total - threads * distinct (racing
-    first-verifiers both miss — benign, identical verdicts)."""
-    threads, repeats = 4, 8
-    key = generate_keypair(b"content-contention")
-    point = key.public_key().point
-    engine = FastEngine()
-    cache = engine.content_cache
-    messages = [b"contended content %d" % i for i in range(3)]
-    jobs = []
-    for message in messages:
-        signature = key.sign(message)
-        digest = hashlib.sha256(message).digest()
-        jobs.append((point, signature.r, signature.s, digest, True))
-    jobs = jobs * repeats
-    _hammer_content_verify(cache, engine, jobs, threads)
-    stats = cache.stats_snapshot()
-    assert stats.calls == len(jobs)
-    assert stats.hits + stats.misses == len(jobs)
-    assert stats.hits >= len(jobs) - threads * len(messages)
-    assert len(cache) == len(messages)
-
-
-def test_fast_engine_clear_caches_resets_content_cache():
-    key = generate_keypair(b"content-clear")
-    message = b"clear content"
-    signature = key.sign(message)
-    digest = hashlib.sha256(message).digest()
-    engine = FastEngine()
-    assert engine.verify_content(key.public_key().point, signature.r,
-                                 signature.s, digest)
-    assert len(engine.content_cache) == 1
-    engine.clear_caches()
-    assert len(engine.content_cache) == 0
-    assert engine.content_cache.stats_snapshot().calls == 0
-
-
 def test_engine_counters_merge_exactly_across_executors():
-    """Thread- and process-pool campaigns account every verify.
+    """Thread-pool campaigns account every verify.
 
     The serial run is ground truth.  The thread pool shares one engine
-    (lock-guarded increments); the process pool runs forked engine
-    copies whose deltas fold back through ``merge_stats``.  Both must
-    land on exactly the serial ``verify_calls`` total — a lost update
-    in either path shows up as a shortfall here.
+    through lock-guarded increments and must land on exactly the
+    serial ``verify_calls`` total — a lost update shows up as a
+    shortfall here.
     """
-    from repro.fleet import (
-        ParallelWaveExecutor,
-        ProcessWaveExecutor,
-        SerialWaveExecutor,
-    )
+    from repro.fleet import ParallelWaveExecutor, SerialWaveExecutor
     from repro.tools.bench import _build_campaign
 
     totals = {}
     executors = {
         "serial": SerialWaveExecutor,
         "threads": lambda: ParallelWaveExecutor(max_workers=4),
-        "processes": lambda: ProcessWaveExecutor(max_workers=2,
-                                                 min_fork_wave=2),
     }
     for label, make in executors.items():
         executor = make()
@@ -637,10 +479,8 @@ def test_engine_counters_merge_exactly_across_executors():
             engine.clear_caches()
             report = campaign.run()
             stats = engine.stats_snapshot()
-        if hasattr(executor, "close"):
-            executor.close()
+        executor.close()
         assert not report.aborted and len(report.updated) == 6
         totals[label] = stats.verify_calls
         assert stats.verify_cache_hits <= stats.verify_calls
     assert totals["threads"] == totals["serial"]
-    assert totals["processes"] == totals["serial"]

@@ -224,16 +224,19 @@ def test_columnar_campaign_is_deterministic():
 
 
 def test_parity_under_fast_engine():
-    """The batched content-cache verify path changes no output byte."""
+    """The batched vendor verify path changes no output byte."""
+    vendor = make_test_identities()[2].vendor.point
     with use_engine("fast") as engine:
         engine.clear_caches()
         hydrated_report, hydrated_fleet, scale_report = run_twins(6)
         assert_parity(hydrated_report, hydrated_fleet, scale_report)
-        # The vendor signature was verified through the content cache:
-        # one miss (first wave), then a hit per later wave.
-        stats = engine.content_cache.stats_snapshot()
-    assert stats.misses == 1
-    assert stats.hits == len(scale_report.wave_indices) - 1
+        # Every scalar verify lands one entry in the engine's signature
+        # LRU.  The vendor signature is the same for every device and
+        # every wave of both twins, so it is scalar-verified once; all
+        # later checks are cache hits.
+        vendor_verifies = sum(1 for key in engine._verify_cache
+                              if key[:2] == (vendor.x, vendor.y))
+    assert vendor_verifies == 1
 
 
 # -- batched digest path ------------------------------------------------------

@@ -23,15 +23,11 @@ from repro.core import (
 )
 from repro.crypto import use_engine
 from repro.fleet import (
-    Calibration,
     Campaign,
     DeviceRecord,
     ParallelWaveExecutor,
-    ProcessWaveExecutor,
     RolloutPolicy,
     SerialWaveExecutor,
-    calibrate,
-    select_executor,
 )
 from repro.memory import MemoryLayout
 from repro.net import ManifestTamperer
@@ -94,12 +90,10 @@ def run_and_snapshot(campaign: Campaign):
 
 
 #: Pooled executor factories the parity suite runs against serial.
-#: Fresh instances per test — the process pool is closed after use.
+#: Fresh instances per test — each pool is closed after use.
 POOLED = [
     pytest.param(lambda: ParallelWaveExecutor(max_workers=4),
                  id="threads"),
-    pytest.param(lambda: ProcessWaveExecutor(max_workers=2),
-                 id="processes"),
 ]
 
 
@@ -121,13 +115,6 @@ def test_parallel_report_identical_on_success(workers):
     report = parallel[0]
     assert not report["aborted"]
     assert len(report["updated"]) == 8
-
-
-def test_process_report_identical_on_success():
-    serial = run_and_snapshot(build_campaign(SerialWaveExecutor()))
-    pooled = run_pooled(lambda: ProcessWaveExecutor(max_workers=2))
-    assert serial == pooled
-    assert len(pooled[0]["updated"]) == 8
 
 
 @pytest.mark.parametrize("make_executor", POOLED)
@@ -175,58 +162,11 @@ def test_chunked_dispatch_covers_every_device():
     assert all(version == 2 for version in versions.values())
 
 
-def test_process_chunked_dispatch_covers_every_device():
-    """One chunk per record still touches every device exactly once."""
-    executor = ProcessWaveExecutor(max_workers=2, chunk_size=2)
-    try:
-        report, _, attempts, versions = run_and_snapshot(
-            build_campaign(executor, count=6))
-    finally:
-        executor.close()
-    assert len(report["updated"]) == 6
-    assert all(count == 1 for count in attempts.values())
-    assert all(version == 2 for version in versions.values())
-
-
-def test_process_merges_server_state():
-    """Worker-side server activity lands back on the parent server."""
-    executor = ProcessWaveExecutor(max_workers=2)
-    campaign = build_campaign(executor, count=6)
-    try:
-        with use_engine("fast"):
-            campaign.run()
-    finally:
-        executor.close()
-    stats = campaign.server.stats
-    # Every device requested an update; half the fleet (the v1-aware
-    # pull devices) took deltas — worker counters merged, not lost.
-    assert stats.requests >= 6
-    assert stats.delta_updates > 0
-    # The delta generated inside a worker was adopted by the parent's
-    # version-pair cache and its content-addressed layer.
-    assert (1, 2) in campaign.server.delta_cache_keys()
-    assert len(campaign.server.artifacts) > 0
-
-
-def test_process_single_worker_runs_in_process():
-    """max_workers=1 degenerates to in-process serial execution."""
-    executor = ProcessWaveExecutor(max_workers=1)
-    serial = run_and_snapshot(build_campaign(SerialWaveExecutor()))
-    pooled = run_and_snapshot(build_campaign(executor))
-    executor.close()
-    assert executor._pool is None  # never spawned a pool
-    assert serial == pooled
-
-
 def test_executor_validation():
     with pytest.raises(ValueError):
         ParallelWaveExecutor(max_workers=0)
     with pytest.raises(ValueError):
         ParallelWaveExecutor(chunk_size=0)
-    with pytest.raises(ValueError):
-        ProcessWaveExecutor(max_workers=0)
-    with pytest.raises(ValueError):
-        ProcessWaveExecutor(chunk_size=0)
 
 
 def test_default_executor_is_serial():
@@ -255,59 +195,3 @@ def test_thread_pool_persists_across_waves():
     executor.close()
     assert executor._pool is None
 
-
-# -- calibration-driven selection --------------------------------------------
-
-
-def _calibration(cpu_count, pickle_seconds=1e-3, dispatch_seconds=1e-5):
-    return Calibration(dispatch_seconds=dispatch_seconds,
-                       pickle_seconds=pickle_seconds,
-                       cpu_count=cpu_count)
-
-
-def test_calibrate_measures_real_costs():
-    record = build_campaign(SerialWaveExecutor(), count=1).fleet[0]
-    calibration = calibrate(sample_record=record)
-    assert calibration.dispatch_seconds > 0.0
-    assert calibration.pickle_seconds > 0.0
-    assert calibration.cpu_count >= 1
-    assert set(calibration.to_dict()) == {
-        "dispatch_seconds", "pickle_seconds", "cpu_count"}
-
-
-def test_select_serial_for_tiny_waves():
-    chosen = select_executor(1, calibration=_calibration(8))
-    assert isinstance(chosen, SerialWaveExecutor)
-    chosen = select_executor(50, max_workers=1,
-                             calibration=_calibration(8))
-    assert isinstance(chosen, SerialWaveExecutor)
-
-
-def test_select_threads_for_io_dominated_waves():
-    """I/O waits release the GIL, so threads win even on one core."""
-    chosen = select_executor(50, io_fraction=0.9,
-                             calibration=_calibration(1))
-    assert isinstance(chosen, ParallelWaveExecutor)
-
-
-def test_select_serial_on_single_core_cpu_bound():
-    """The GIL finding: one core + CPU-bound work → serial wins."""
-    chosen = select_executor(50, io_fraction=0.0,
-                             per_device_seconds=10.0,
-                             calibration=_calibration(1))
-    assert isinstance(chosen, SerialWaveExecutor)
-
-
-def test_select_processes_for_multicore_cpu_bound():
-    chosen = select_executor(50, io_fraction=0.0,
-                             per_device_seconds=0.5,
-                             calibration=_calibration(8, 1e-3))
-    assert isinstance(chosen, ProcessWaveExecutor)
-    chosen.close()
-
-
-def test_select_serial_when_work_cannot_amortise_pickle():
-    chosen = select_executor(50, io_fraction=0.0,
-                             per_device_seconds=1e-4,
-                             calibration=_calibration(8, 1e-3))
-    assert isinstance(chosen, SerialWaveExecutor)

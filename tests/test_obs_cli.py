@@ -109,12 +109,12 @@ def test_write_report_round_trips_every_kind(tmp_path):
         assert data["payload"] == kind
 
 
-def test_load_report_detects_legacy_bench(tmp_path):
+def test_load_report_rejects_unstamped_bench(tmp_path):
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps({"schema": 1, "campaign": {},
                                 "sha256": {}}))
-    kind, version, _ = report.load_report(str(path))
-    assert (kind, version) == ("bench", 1)
+    with pytest.raises(report.ReportError):
+        report.load_report(str(path))
 
 
 def test_load_report_detects_legacy_chaos(tmp_path):
@@ -134,21 +134,27 @@ def test_validate_rejects_future_schema():
     assert errors and "newer" in errors[0]
 
 
-def test_validate_bench_v4_requires_fleet_scale():
-    errors = report.validate_data("bench", 4, {"campaign": {}})
+def test_validate_rejects_older_bench_schema():
+    errors = report.validate_data("bench", 5, {"campaign": {}})
+    assert len(errors) == 1
+    assert "regenerate" in errors[0]
+
+
+def test_validate_bench_requires_fleet_scale():
+    errors = report.validate_data("bench", 6, {"campaign": {}})
     assert "bench report missing key 'fleet_scale'" in errors
 
 
-def test_validate_bench_v4_checks_fleet_scale_shape():
+def test_validate_bench_checks_fleet_scale_shape():
     data = {
         "sha256": {}, "ecdsa_verify": {}, "delta_generation": {},
         "campaign": {"reports_identical": True},
         "crypto_stats": {}, "server_stats": {}, "metrics": {},
-        "campaign_io": {"reports_identical": True}, "calibration": {},
+        "campaign_io": {"reports_identical": True},
         "fleet_scale": {"devices": 10_000, "devices_per_s": 5000.0,
                         "sampled_parity": False},
     }
-    errors = report.validate_data("bench", 4, data)
+    errors = report.validate_data("bench", 6, data)
     assert "bench fleet_scale missing key 'peak_rss_kb'" in errors
     assert ("bench fleet_scale missing key "
             "'columnar_bytes_per_row'") in errors
@@ -156,9 +162,8 @@ def test_validate_bench_v4_checks_fleet_scale_shape():
 
     data["fleet_scale"].update(peak_rss_kb=250_000,
                                columnar_bytes_per_row=86,
-                               pickle_bytes_per_record=33_538,
                                sampled_parity=True)
-    assert report.validate_data("bench", 4, data) == []
+    assert report.validate_data("bench", 6, data) == []
 
 
 @pytest.mark.trace

@@ -33,10 +33,9 @@ def test_delta_fastpath_is_byte_identical_at_smoke_size():
 
 def test_campaign_configurations_report_identically_at_smoke_size():
     result = bench.bench_campaign(device_count=4, image_size=4 * 1024,
-                                  max_workers=2, include_reference=False,
-                                  process_workers=2)
+                                  max_workers=2, include_reference=False)
     assert result["reports_identical"] is True
-    for label in ("fast_serial", "fast_parallel", "fast_process"):
+    for label in ("fast_serial", "fast_parallel"):
         assert result["%s_seconds" % label] > 0.0
 
 

@@ -90,12 +90,13 @@ def test_validate_rejects_failed_sessions(bench_doc):
 def test_v6_validation_demands_every_endpoint_class(bench_doc):
     """v6 server-only artifacts must break out all five endpoint
     classes with numeric p50/p99 — that is what the per-endpoint
-    gate compares; v5 artifacts are grandfathered."""
+    gate compares; v5 artifacts must be regenerated."""
     partial = copy.deepcopy(bench_doc)
     del partial["server"]["endpoints"]["manifest"]
     errors = validate_data("bench", 6, partial)
     assert any("break out endpoint 'manifest'" in e for e in errors)
-    assert validate_data("bench", 5, partial) == []
+    assert any("regenerate" in e
+               for e in validate_data("bench", 5, partial))
     hollow = copy.deepcopy(bench_doc)
     hollow["server"]["endpoints"]["token"]["p99_ms"] = None
     errors = validate_data("bench", 6, hollow)
