@@ -75,12 +75,14 @@ DEFAULT_DELTA_CACHE_SIZE = 64
 class UpdateServer:
     """Holds releases and answers device-token requests with signed images.
 
-    Thread-safe: a parallel campaign executor issues concurrent
-    ``prepare_update`` calls, so the stats counters and the delta cache
-    are lock-protected.  Delta *generation* happens under the cache
-    lock on purpose — when a whole wave asks for the same
-    (old, new) pair at once, exactly one thread pays the bsdiff+LZSS
-    cost and the rest get the cached bytes.
+    Thread-safe: the serve plane's signer-pool threads
+    (``FleetService.resolve_manifest_encoded``) issue concurrent
+    ``prepare_update`` calls on one channel server, so the stats
+    counters and the delta cache are lock-protected.  Delta
+    *generation* happens under the cache lock on purpose — when many
+    sessions ask for the same (old, new) pair at once, exactly one
+    thread pays the bsdiff+LZSS cost and the rest get the cached
+    bytes.
     """
 
     def __init__(self, identity: SigningIdentity,

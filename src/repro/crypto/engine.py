@@ -294,8 +294,10 @@ class FastEngine(CryptoEngine):
       exact signatures the agent just verified, so the second pass is
       a dictionary lookup.
 
-    All shared state is lock-protected — the parallel campaign
-    executor calls into one engine from many threads.
+    All shared state is lock-protected — the serve plane's signer-pool
+    threads all sign through the one process-wide instance, and the
+    campaign threads started by the ``run_in_executor`` campaign
+    routes verify through it when it is the active engine.
     """
 
     name = "fast"

@@ -16,10 +16,12 @@ and any generation parameters (e.g. ``b"bsdiff+lzss"``), giving each
 product family its own key domain.
 
 The cache is memory-bounded (LRU by stored payload bytes) and
-thread-safe: the thread-pool wave executor prepares deltas through one
-shared instance.  A ``max_bytes`` of 0 disables storage entirely — every lookup misses and the producer runs, which the tests
-use to prove campaign reports are byte-identical with and without the
-cache.
+thread-safe: the serve plane's signer-pool threads
+(``FleetService.resolve_manifest_encoded``) prepare images through one
+instance shared by every channel server.  A ``max_bytes`` of 0
+disables storage entirely — every lookup misses and the producer runs,
+which the tests use to prove campaign reports are byte-identical with
+and without the cache.
 """
 
 from __future__ import annotations

@@ -31,11 +31,6 @@ from .columnar import (
     DeviceSpec,
     ROW_DTYPE,
 )
-from .executor import (
-    ParallelWaveExecutor,
-    SerialWaveExecutor,
-    WaveExecutor,
-)
 from .scale import (
     ScaleCampaign,
     ScaleReport,
@@ -62,7 +57,6 @@ __all__ = [
     "Event",
     "EventScheduler",
     "JOURNAL_KINDS",
-    "ParallelWaveExecutor",
     "ROW_DTYPE",
     "RetryBudget",
     "RetryGovernor",
@@ -70,8 +64,6 @@ __all__ = [
     "RolloutPolicy",
     "ScaleCampaign",
     "ScaleReport",
-    "SerialWaveExecutor",
-    "WaveExecutor",
     "drive_attempt",
     "finalize_failed",
     "post_mortem_phases",

@@ -29,7 +29,6 @@ from ..obs.health import DeviceSample
 from ..obs.slo import Action, FleetTelemetry, WaveVerdict
 from ..sim.device import SimulatedDevice
 from .budget import CAUTION_TRANSPORT_RETRY, RetryGovernor
-from .executor import SerialWaveExecutor, WaveExecutor
 from .journal import CampaignJournal
 
 __all__ = ["DeviceRecord", "DeviceState", "RolloutPolicy", "RetryPolicy",
@@ -61,11 +60,6 @@ class DeviceRecord:
     #: across attempts so an outage survived on attempt 1 stays survived
     #: — this is what lets flaky-link devices converge under retry.
     link: Optional[Link] = None
-    #: Host wall-clock latency per request round-trip, forwarded to
-    #: this device's transports (the bench harness's I/O profile).
-    #: Sleeps never touch the virtual clock, so reports are identical
-    #: at any value.
-    host_rtt_seconds: float = 0.0
     state: DeviceState = DeviceState.PENDING
     attempts: int = 0
     #: Transport-level interruptions summed over every attempt (the
@@ -218,8 +212,7 @@ def transport_for(record: DeviceRecord, server: UpdateServer,
     cls = PushTransport if record.transport == "push" else PullTransport
     return cls(record.device, server,
                interceptor=record.interceptor,
-               link=record.link, retry=transport_retry,
-               host_rtt_seconds=record.host_rtt_seconds)
+               link=record.link, retry=transport_retry)
 
 
 def drive_attempt(server: UpdateServer, record: DeviceRecord, target: int,
@@ -289,7 +282,6 @@ class Campaign:
 
     def __init__(self, server: UpdateServer, fleet: List[DeviceRecord],
                  policy: Optional[RolloutPolicy] = None,
-                 executor: Optional[WaveExecutor] = None,
                  retry: Optional[RetryPolicy] = None,
                  metrics=None,
                  telemetry: Optional[FleetTelemetry] = None,
@@ -309,18 +301,13 @@ class Campaign:
         #: the legacy behaviour: ``policy.max_attempts`` back-to-back
         #: tries, no backoff, no quarantine.
         self.retry = retry
-        #: How each wave's devices are driven.  The serial executor is
-        #: the default; pass a
-        #: :class:`~repro.fleet.executor.ParallelWaveExecutor` to run a
-        #: wave on a thread pool.  Either way the report is identical.
-        self.executor = executor or SerialWaveExecutor()
         #: Optional :class:`~repro.obs.MetricsRegistry` observing
         #: per-wave timings and outcome counters.  Purely additive: the
         #: :class:`CampaignReport` stays bit-identical with or without
         #: a registry attached.
         self.metrics = metrics
         #: Optional :class:`~repro.obs.slo.FleetTelemetry`.  When
-        #: attached, the executor scrapes every device's registry as it
+        #: attached, every device's registry is scraped as it
         #: finishes, each wave closes with a health + SLO verdict, and
         #: breaches steer the rollout (slow / pause / abort) — see
         #: :meth:`run`.  Scrapes and analysis are pure reads of already
@@ -328,8 +315,6 @@ class Campaign:
         #: breach produces a byte-identical report to a telemetry-off
         #: one.
         self.telemetry = telemetry
-        if telemetry is not None:
-            self.executor.scrape = telemetry.scrape_record
         #: Write-ahead journal (crash-safe durability); None = volatile.
         self.journal = journal
         #: Retry-storm governor; None = ungoverned (legacy behaviour).
@@ -468,17 +453,18 @@ class Campaign:
                        for name in names if name in self._preseed}
             to_drive = [record for record in wave
                         if record.name not in preseed]
-            outcomes = (self.executor.run_wave(self._update_device,
-                                               to_drive, target)
-                        if to_drive else [])
-            outcome_of = {record.name: outcome
-                          for record, outcome in zip(to_drive, outcomes)}
+            outcome_of = {}
+            for record in to_drive:
+                outcome_of[record.name] = self._update_device(record, target)
+                if self.telemetry is not None:
+                    # A pure read of the device's registry at its final
+                    # virtual-clock time: scraping never perturbs it.
+                    self.telemetry.scrape_record(record)
             failures = 0
             wave_duration = 0.0
             # Merge strictly in wave order so aggregates (including the
-            # float energy sum) match the serial path bit-for-bit no
-            # matter which executor ran the wave — and no matter how
-            # many members came back from the journal instead.
+            # float energy sum) match bit-for-bit no matter how many
+            # members came back from the journal instead.
             for record in wave:
                 entry = preseed.get(record.name)
                 if entry is not None:

@@ -107,14 +107,13 @@ class DeviceSpec:
     name: str
     device_id: int
     transport: str = "pull"
-    host_rtt_seconds: float = 0.0
     unique: bool = False
     domain: Optional[str] = None
 
     def cohort_key(self) -> Tuple:
         if self.unique:
             return ("unique", self.name)
-        return (self.transport, self.host_rtt_seconds, self.domain)
+        return (self.transport, self.domain)
 
 
 class ColumnarFleet:

@@ -106,6 +106,8 @@ class CampaignJournal:
         self._lines: List[str] = []
         self._torn = 0
         self._kill_at: Optional[int] = None
+        # A served campaign appends on its own thread while the
+        # ``run_in_executor`` campaign routes read the journal's stats.
         self._lock = threading.Lock()
         if path is not None and os.path.exists(path):
             with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -86,7 +86,6 @@ from .columnar import (
     PHASE_DONE,
     STATE_CODES,
 )
-from .executor import SerialWaveExecutor, WaveExecutor
 from .scheduler import Event, EventScheduler
 
 __all__ = ["ScaleCampaign", "ScaleReport", "Hydrator"]
@@ -283,19 +282,17 @@ class ScaleCampaign:
     """Runs one release across a columnar fleet under a rollout policy.
 
     Same knobs as :class:`~repro.fleet.campaign.Campaign` — rollout
-    policy, retry policy, wave executor, metrics, telemetry — plus the
+    policy, retry policy, metrics, telemetry — plus the
     :data:`Hydrator` that turns a :class:`DeviceSpec` into a live,
     provisioned device when its cohort needs a representative.
 
     ``anchors`` (optional :class:`~repro.core.keys.TrustAnchors`)
-    enables the once-per-wave batched vendor-signature check through
-    the fast engine's content cache.
+    enables the once-per-wave batched vendor-signature check.
     """
 
     def __init__(self, server: UpdateServer, fleet: ColumnarFleet,
                  hydrator: Hydrator,
                  policy: Optional[RolloutPolicy] = None,
-                 executor: Optional[WaveExecutor] = None,
                  retry: Optional[RetryPolicy] = None,
                  metrics=None,
                  telemetry: Optional[FleetTelemetry] = None,
@@ -311,7 +308,6 @@ class ScaleCampaign:
         self.hydrator = hydrator
         self.policy = policy or RolloutPolicy()
         self.retry = retry
-        self.executor = executor or SerialWaveExecutor()
         self.metrics = metrics
         self.telemetry = telemetry
         self.anchors = anchors
@@ -440,15 +436,12 @@ class ScaleCampaign:
                 members=members, record=record))
         wave.open_tasks = len(wave.tasks)
 
-        # First attempts fan out through the wave executor.
+        # Every representative makes its first attempt before any
+        # outcome is folded.
         server, transport_retry = self.server, self._transport_retry()
-
-        def first_attempt(record: DeviceRecord, target: int):
-            return drive_attempt(server, record, target, transport_retry)
-
-        records = [task.record for task in wave.tasks]
-        outcomes = self.executor.run_wave(first_attempt, records,
-                                          self._target)
+        outcomes = [drive_attempt(server, task.record, self._target,
+                                  transport_retry)
+                    for task in wave.tasks]
         for task, outcome in zip(wave.tasks, outcomes):
             self._after_attempt(task, outcome)
 

@@ -10,8 +10,12 @@ The registry is deliberately Prometheus-shaped (counter / gauge /
 histogram with fixed upper bounds) but dependency-free and snapshot
 oriented: :meth:`MetricsRegistry.snapshot` runs the registered
 collectors, then returns a plain ``dict`` ready for JSON or a summary
-table.  All mutation is lock-protected so the parallel wave executor
-can share one registry across worker threads.
+table.  All mutation is lock-protected because the serve plane bumps
+one registry from several threads: ``FleetService`` counts requests
+on the event loop, on the signer-pool threads
+(``resolve_manifest_encoded``) and on the default-executor threads
+that run the ``run_in_executor`` campaign routes of
+``serve/routes.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "MetricsRegistry",
     "UPDATE_LATENCY_BUCKETS",
     "WAVE_SECONDS_BUCKETS",
-    "HOST_SECONDS_BUCKETS",
     "bind_engine",
     "bind_server",
     "bind_device",
@@ -39,8 +42,6 @@ UPDATE_LATENCY_BUCKETS = (5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0,
                           1800.0)
 #: Per-wave modeled duration (slowest device in the wave).
 WAVE_SECONDS_BUCKETS = UPDATE_LATENCY_BUCKETS
-#: Host wall-clock per wave (the executor's own cost).
-HOST_SECONDS_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
 
 
 class Counter:

@@ -341,7 +341,7 @@ class FleetTelemetry:
 
     Lifecycle (driven by :class:`~repro.fleet.campaign.Campaign`):
 
-    1. the wave executor calls :meth:`scrape_record` as each device
+    1. the campaign calls :meth:`scrape_record` as each device
        finishes (wave order — deterministic);
     2. the campaign calls :meth:`observe_device` per merged record;
     3. the campaign calls :meth:`close_wave`, gets a

@@ -107,9 +107,10 @@ class Series:
 class TimeSeriesStore:
     """Named, bounded series; get-or-create like the metrics registry.
 
-    Mutation is lock-protected so the parallel wave executor's scrape
-    hook can share one store across worker threads (in practice scrapes
-    happen post-merge in wave order, but the store does not rely on it).
+    Mutation is lock-protected: a served campaign scrapes into its
+    store on the campaign's own thread (``FleetService._start``), which
+    the ``run_in_executor`` campaign routes of ``serve/routes.py``
+    start and restart.
     """
 
     def __init__(self, max_points: int = DEFAULT_MAX_POINTS) -> None:

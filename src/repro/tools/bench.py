@@ -1,7 +1,7 @@
 """Fleet-scale performance benchmark harness.
 
 Measures the hot path the ROADMAP's "millions of devices" north star
-depends on, under both crypto engines and both wave executors:
+depends on, under both crypto engines:
 
 * SHA-256 throughput (MB/s) — reference (from-scratch) vs. fast
   (hashlib) engine;
@@ -9,26 +9,14 @@ depends on, under both crypto engines and both wave executors:
   fixed-window precomputed tables (distinct digests, so the
   verification cache is *not* what is being measured);
 * delta generation time — bsdiff + LZSS over a firmware pair (engine
-  independent, but it gates campaign start-up);
+  independent, but it gates campaign start-up), the median of
+  :data:`DELTA_REPEATS` runs so one cold pass cannot trip the gate;
 * end-to-end campaign throughput (devices/s) on a seeded fleet, for
-  the seed path (reference engine, serial executor), the fast engine
-  alone, and the fast engine + thread-pool executor — asserting along
-  the way that every configuration produces the *identical*
-  :class:`~repro.fleet.campaign.CampaignReport`.
-
-The campaign runs under two **profiles**:
-
-* ``campaign`` (CPU profile) — pure simulation, no host-paced waits.
-  This is where the GIL finding shows up: the thread pool *loses* to
-  serial because threads serialise on the GIL.
-  :func:`find_inversions` names these inversions; ``cli bench
-  --strict`` turns them into a nonzero exit.
-* ``campaign_io`` (I/O profile) — each request round-trip sleeps a
-  host RTT (:class:`~repro.net.transports` ``host_rtt_seconds``),
-  modeling a live network between campaign runner and update server.
-  Sleeps release the GIL and never touch the virtual clock, so the
-  thread pool overlaps them and wins while reports stay
-  byte-identical.
+  the seed path (reference engine) and the fast engine — asserting
+  along the way that both produce the *identical*
+  :class:`~repro.fleet.campaign.CampaignReport`;
+* a columnar :class:`~repro.fleet.ScaleCampaign` at fleet scale
+  (``fleet_scale``), cross-checked against the hydrated path.
 
 Results are written to ``BENCH_fleet.json`` (repo root by convention)
 so subsequent PRs can track the trajectory::
@@ -50,8 +38,9 @@ subset inside tier-1.
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core import (
     DeviceProfile,
@@ -72,10 +61,8 @@ from ..fleet import (
     ColumnarFleet,
     DeviceRecord,
     DeviceSpec,
-    ParallelWaveExecutor,
     RolloutPolicy,
     ScaleCampaign,
-    SerialWaveExecutor,
 )
 from ..memory import MemoryLayout
 from ..obs import MetricsRegistry, bind_engine, bind_server
@@ -91,14 +78,12 @@ __all__ = [
     "bench_delta_fastpath",
     "bench_campaign",
     "bench_fleet_scale",
-    "find_inversions",
     "run_all",
     "run_delta",
     "write_results",
     "write_delta_results",
     "compare_to_baseline",
     "GATE_METRICS",
-    "IO_GATE_METRICS",
     "DELTA_GATE_METRICS",
     "FLEET_SCALE_HIGHER_IS_BETTER",
     "FLEET_SCALE_LOWER_IS_BETTER",
@@ -174,24 +159,36 @@ def bench_verify(reference_iterations: int = 20,
     return results
 
 
+#: Runs behind each ``delta_generation`` timing: one pass is ~0.13 s
+#: and a single cold one swung +26% between identical runs.
+DELTA_REPEATS = 5
+
+
 def bench_delta(image_size: int = 48 * 1024) -> Dict[str, float]:
-    """bsdiff + LZSS generation time for one firmware pair."""
+    """bsdiff + LZSS generation time for one firmware pair: the median
+    of :data:`DELTA_REPEATS` runs, per timing."""
     generator = FirmwareGenerator(seed=b"bench-delta")
     old = generator.firmware(image_size, image_id=1)
     new = generator.os_version_change(old, revision=2)
-    start = time.perf_counter()
-    patch = bsdiff_diff(old, new)
-    diff_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    delta = lzss_compress(patch)
-    compress_seconds = time.perf_counter() - start
+    diff_runs, compress_runs, total_runs = [], [], []
+    for _ in range(DELTA_REPEATS):
+        start = time.perf_counter()
+        patch = bsdiff_diff(old, new)
+        diff_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        delta = lzss_compress(patch)
+        compress_seconds = time.perf_counter() - start
+        diff_runs.append(diff_seconds)
+        compress_runs.append(compress_seconds)
+        total_runs.append(diff_seconds + compress_seconds)
     return {
         "firmware_bytes": image_size,
         "patch_bytes": len(patch),
         "delta_bytes": len(delta),
-        "bsdiff_seconds": round(diff_seconds, 4),
-        "lzss_seconds": round(compress_seconds, 4),
-        "total_seconds": round(diff_seconds + compress_seconds, 4),
+        "repeats": DELTA_REPEATS,
+        "bsdiff_seconds": round(statistics.median(diff_runs), 4),
+        "lzss_seconds": round(statistics.median(compress_runs), 4),
+        "total_seconds": round(statistics.median(total_runs), 4),
     }
 
 
@@ -277,15 +274,11 @@ def bench_delta_fastpath(image_size: int = 96 * 1024) -> Dict[str, object]:
 
 
 def _build_campaign(device_count: int, image_size: int,
-                    executor, metrics=None,
-                    host_rtt_seconds: float = 0.0) -> Campaign:
+                    metrics=None) -> Campaign:
     """A seeded fleet at v1 with v2 published, ready to run.
 
     Construction is fully deterministic, so every configuration under
     test drives a bit-identical fleet against a bit-identical release.
-    ``host_rtt_seconds`` > 0 selects the I/O profile: every control
-    exchange sleeps that long on the host clock (the virtual clock is
-    untouched, so reports stay identical across executors).
     """
     generator = FirmwareGenerator(seed=b"bench-campaign")
     fw_v1 = generator.firmware(image_size, image_id=1)
@@ -311,12 +304,11 @@ def _build_campaign(device_count: int, image_size: int,
             name="bench-%03d" % index,
             device=device,
             transport="pull" if index % 2 else "push",
-            host_rtt_seconds=host_rtt_seconds,
         ))
 
     server.publish(vendor.release(fw_v2, 2))
     return Campaign(server, fleet, RolloutPolicy(canary_fraction=0.1),
-                    executor=executor, metrics=metrics)
+                    metrics=metrics)
 
 
 def _build_scale_campaign(device_count: int,
@@ -359,8 +351,7 @@ def _build_scale_campaign(device_count: int,
         )
         provision_device(provisioning, layout.get("a"), spec.device_id)
         return DeviceRecord(name=spec.name, device=device,
-                            transport=spec.transport,
-                            host_rtt_seconds=spec.host_rtt_seconds)
+                            transport=spec.transport)
 
     fleet = ColumnarFleet(device_count, spec_fn, baseline_version=1)
     return ScaleCampaign(server, fleet, hydrator,
@@ -381,8 +372,7 @@ def _sampled_parity(sample_devices: int, image_size: int) -> bool:
 
     with use_engine("fast") as engine:
         engine.clear_caches()
-        hydrated = _build_campaign(sample_devices, image_size,
-                                   SerialWaveExecutor())
+        hydrated = _build_campaign(sample_devices, image_size)
         hydrated_report = hydrated.run()
         engine.clear_caches()
         scale = _build_scale_campaign(sample_devices, image_size)
@@ -437,61 +427,41 @@ def bench_fleet_scale(device_count: int = 10_000,
 
 
 def bench_campaign(device_count: int = 50,
-                   image_size: int = 24 * 1024,
-                   max_workers: Optional[int] = None,
-                   host_rtt_seconds: float = 0.0,
-                   include_reference: bool = True
-                   ) -> Dict[str, object]:
-    """End-to-end campaign throughput per engine/executor configuration.
+                   image_size: int = 24 * 1024) -> Dict[str, object]:
+    """End-to-end campaign throughput per crypto engine.
 
-    Three configurations by default — reference engine + serial
-    executor (the seed path), fast engine + serial, fast engine +
-    thread pool.  ``include_reference=False`` drops the
-    slow seed path (used for the I/O profile, where only the executor
-    comparison is interesting).  Every configuration must produce the
-    identical :class:`CampaignReport` or the bench raises.
+    Two configurations — the reference engine (the seed path) and the
+    fast engine.  Both must produce the identical
+    :class:`CampaignReport` or the bench raises.
     """
-    configurations = []
-    if include_reference:
-        configurations.append(
-            ("reference_serial", "reference", SerialWaveExecutor()))
-    configurations.append(("fast_serial", "fast", SerialWaveExecutor()))
-    configurations.append(
-        ("fast_parallel", "fast", ParallelWaveExecutor(max_workers=max_workers)))
     results: Dict[str, object] = {
         "devices": device_count,
         "image_bytes": image_size,
     }
-    if host_rtt_seconds > 0.0:
-        results["host_rtt_seconds"] = host_rtt_seconds
     reports = {}
     crypto_stats: Dict[str, object] = {}
     server_stats: Dict[str, object] = {}
     metrics_out: Dict[str, object] = {}
-    for label, engine_name, executor in configurations:
+    for label, engine_name in (("reference_serial", "reference"),
+                               ("fast_serial", "fast")):
         # One registry per configuration: campaign wave counters and the
         # engine/server stats mirrors land side by side.  Observation is
         # purely additive — the CampaignReport equality assertion below
         # is what proves it.
         registry = MetricsRegistry()
-        executor.metrics = registry
-        campaign = _build_campaign(device_count, image_size, executor,
-                                   metrics=registry,
-                                   host_rtt_seconds=host_rtt_seconds)
+        campaign = _build_campaign(device_count, image_size,
+                                   metrics=registry)
         bind_server(registry, campaign.server)
-        try:
-            with use_engine(engine_name) as engine:
-                if isinstance(engine, FastEngine):
-                    engine.clear_caches()   # cold start: tables count too
-                    bind_engine(registry, engine)
-                start = time.perf_counter()
-                report = campaign.run()
-                elapsed = time.perf_counter() - start
-                crypto_stats[label] = (engine.stats.to_dict()
-                                       if isinstance(engine, FastEngine)
-                                       else None)
-        finally:
-            executor.close()
+        with use_engine(engine_name) as engine:
+            if isinstance(engine, FastEngine):
+                engine.clear_caches()   # cold start: tables count too
+                bind_engine(registry, engine)
+            start = time.perf_counter()
+            report = campaign.run()
+            elapsed = time.perf_counter() - start
+            crypto_stats[label] = (engine.stats.to_dict()
+                                   if isinstance(engine, FastEngine)
+                                   else None)
         server_stats[label] = campaign.server.stats.to_dict()
         metrics_out[label] = registry.snapshot()
         if report.aborted or len(report.updated) != device_count:
@@ -502,78 +472,34 @@ def bench_campaign(device_count: int = 50,
         results["%s_seconds" % label] = round(elapsed, 3)
         results["%s_devices_per_s" % label] = round(
             device_count / elapsed, 2)
-    baseline_report = reports["fast_serial"]
-    for label, report_dict in reports.items():
-        if report_dict != baseline_report:
-            raise AssertionError(
-                "campaign report for %s diverged from fast_serial" % label)
+    if reports["reference_serial"] != reports["fast_serial"]:
+        raise AssertionError(
+            "campaign report for reference_serial diverged from "
+            "fast_serial")
     results["reports_identical"] = True
-    if include_reference:
-        results["speedup"] = round(
-            results["reference_serial_seconds"]
-            / results["fast_parallel_seconds"], 2)
-    results["thread_speedup"] = round(
-        results["fast_serial_seconds"] / results["fast_parallel_seconds"], 2)
-    if isinstance(max_workers, int):
-        results["max_workers"] = max_workers
+    results["speedup"] = round(
+        results["reference_serial_seconds"]
+        / results["fast_serial_seconds"], 2)
     results["crypto_stats"] = crypto_stats
     results["server_stats"] = server_stats
     results["metrics"] = metrics_out
     return results
 
 
-def find_inversions(results: Dict[str, object]) -> List[str]:
-    """Name every executor inversion in a bench result document.
-
-    An *inversion* is the thread-pool executor running *slower* than
-    the serial executor under the same engine — the empirical GIL
-    finding on CPU-bound waves.  Returns human-readable descriptions;
-    ``cli bench`` prints them as warnings and ``--strict``
-    turns a non-empty list into a nonzero exit.  Tolerates partial or
-    synthetic documents: sections and metrics that are absent are
-    simply skipped.
-    """
-    inversions: List[str] = []
-    for section in ("campaign", "campaign_io"):
-        data = results.get(section)
-        if not isinstance(data, dict):
-            continue
-        serial = data.get("fast_serial_seconds")
-        if not isinstance(serial, (int, float)) or serial <= 0:
-            continue
-        value = data.get("fast_parallel_seconds")
-        if isinstance(value, (int, float)) and value > serial:
-            inversions.append(
-                "%s: fast_parallel (%.3f s) is slower than fast_serial "
-                "(%.3f s) — pooled execution loses on this host/profile"
-                % (section, value, serial))
-    return inversions
-
-
 # -- harness ----------------------------------------------------------------
 
 
 def run_all(device_count: int = 50, image_size: int = 24 * 1024,
-            max_workers: Optional[int] = None,
-            io_rtt_seconds: float = 0.05,
             scale_devices: Optional[int] = None) -> Dict[str, object]:
     """Run every benchmark; returns the JSON-ready result document.
 
     ``scale_devices`` sizes the columnar ``fleet_scale`` section; the
-    hydrated executor-comparison campaigns stay capped at
+    hydrated engine-comparison campaigns stay capped at
     ``device_count`` (hydrating a million full simulators is exactly
     what the columnar path exists to avoid).
     """
     previous = get_engine().name
-    campaign = bench_campaign(device_count, image_size, max_workers)
-    # I/O profile: no reference engine (only the executor comparison is
-    # interesting), pool sized for overlapping waits rather than cores.
-    io_workers = max_workers or 8
-    campaign_io = bench_campaign(
-        device_count, image_size, max_workers=io_workers,
-        host_rtt_seconds=io_rtt_seconds, include_reference=False)
-    for key in ("crypto_stats", "server_stats", "metrics"):
-        campaign_io.pop(key, None)
+    campaign = bench_campaign(device_count, image_size)
     results = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "host": host_info(),
@@ -586,7 +512,6 @@ def run_all(device_count: int = 50, image_size: int = 24 * 1024,
         "server_stats": campaign.pop("server_stats"),
         "metrics": campaign.pop("metrics"),
         "campaign": campaign,
-        "campaign_io": campaign_io,
         "fleet_scale": bench_fleet_scale(
             scale_devices or max(device_count, 10_000), image_size),
     }
@@ -614,14 +539,9 @@ def write_delta_results(results: Dict[str, object], path: str) -> str:
 
 
 #: Campaign wall-clock metrics the ``--baseline`` gate compares — one
-#: per engine/executor configuration, so a regression in any one of
-#: the three paths (reference, fast, fast+parallel) trips the gate.
-GATE_METRICS = ("reference_serial_seconds", "fast_serial_seconds",
-                "fast_parallel_seconds")
-
-#: I/O-profile wall-clock metrics, gated only when both artifacts carry
-#: a ``campaign_io`` section.
-IO_GATE_METRICS = ("fast_serial_seconds", "fast_parallel_seconds")
+#: per engine, so a regression in either path (reference, fast) trips
+#: the gate.
+GATE_METRICS = ("reference_serial_seconds", "fast_serial_seconds")
 
 #: Delta-generation wall-clock metrics, gated only when both artifacts
 #: carry a ``delta_generation`` section.
@@ -700,19 +620,6 @@ def compare_to_baseline(results: Dict[str, object],
                     % (key, base.get(key), current.get(key))]
     _gate_section(problems, current, base, GATE_METRICS, tolerance)
     # Optional sections — gated only when both artifacts carry them.
-    cur_io = results.get("campaign_io")
-    base_io = baseline.get("campaign_io")
-    if isinstance(cur_io, dict) and isinstance(base_io, dict):
-        for key in ("devices", "image_bytes", "host_rtt_seconds"):
-            if cur_io.get(key) != base_io.get(key):
-                problems.append(
-                    "campaign_io baseline ran %s=%r but this run used %r — "
-                    "regenerate the baseline for this workload"
-                    % (key, base_io.get(key), cur_io.get(key)))
-                break
-        else:
-            _gate_section(problems, cur_io, base_io, IO_GATE_METRICS,
-                          tolerance, prefix="campaign_io ")
     cur_delta = results.get("delta_generation")
     base_delta = baseline.get("delta_generation")
     if isinstance(cur_delta, dict) and isinstance(base_delta, dict):
@@ -874,23 +781,13 @@ def format_summary(results: Dict[str, object]) -> str:
            results["delta_generation"]["total_seconds"],
            results["delta_generation"]["bsdiff_seconds"],
            results["delta_generation"]["lzss_seconds"]),
-        "campaign %3dd: %6.2f s serial/reference -> %5.2f s fast/parallel"
+        "campaign %3dd: %6.2f s reference -> %5.2f s fast"
         % (camp["devices"], camp["reference_serial_seconds"],
-           camp["fast_parallel_seconds"]),
+           camp["fast_serial_seconds"]),
         "               %6.2f -> %6.2f devices/s  (%sx end-to-end)"
         % (camp["reference_serial_devices_per_s"],
-           camp["fast_parallel_devices_per_s"], camp["speedup"]),
-        "               cpu profile: serial %.2f s, threads %.2f s"
-        % (camp["fast_serial_seconds"], camp["fast_parallel_seconds"]),
+           camp["fast_serial_devices_per_s"], camp["speedup"]),
     ]
-    camp_io = results.get("campaign_io")
-    if isinstance(camp_io, dict):
-        lines.append(
-            "campaign io  : rtt %.0f ms — serial %.2f s, threads %.2f s "
-            "(%sx)"
-            % (1000.0 * camp_io.get("host_rtt_seconds", 0.0),
-               camp_io["fast_serial_seconds"],
-               camp_io["fast_parallel_seconds"], camp_io["thread_speedup"]))
     scale = results.get("fleet_scale")
     if isinstance(scale, dict):
         lines.append(

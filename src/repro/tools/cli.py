@@ -17,9 +17,9 @@ Subcommands::
     upkit verify  --image image.bin --vendor-pub keys/vendor.pub
                   --server-pub keys/server.pub
     upkit inspect --image image.bin
-    upkit bench   [--devices N] [--image-size BYTES] [--workers W]
+    upkit bench   [--devices N] [--image-size BYTES]
                   [--out BENCH_fleet.json] [--baseline PREV.json]
-                  [--tolerance F] [--strict] [--io-rtt S]
+                  [--tolerance F]
                   [--delta-out BENCH_delta.json] [--delta-size BYTES]
     upkit chaos   [--points N] [--seed S] [--slots a|b]
                   [--transport push|pull] [--image-size BYTES]
@@ -260,14 +260,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     artifact: exit status 1 when any engine configuration's campaign
     wall-clock regressed by more than ``--tolerance`` (default +20 %),
     or when the columnar ``fleet_scale`` section lost more than the
-    tolerance in devices/s or gained it in peak RSS.  Executor
-    inversions (a pooled executor losing to serial on the same
-    profile) are printed as warnings; ``--strict`` turns them into exit
-    status 1.  ``--delta-out`` additionally runs the delta fast-path
-    benchmark and writes its artifact (BENCH_delta.json by convention).
+    tolerance in devices/s or gained it in peak RSS.  ``--delta-out``
+    additionally runs the delta fast-path benchmark and writes its
+    artifact (BENCH_delta.json by convention).
 
     ``--devices`` sizes the columnar fleet-scale campaign; the hydrated
-    executor-comparison campaigns are capped at 200 devices (hydrating
+    engine-comparison campaigns are capped at 200 devices (hydrating
     a million full simulators is what the columnar path exists to
     avoid), so ``upkit bench --devices 1000000`` is a bounded-memory
     million-device run.
@@ -277,23 +275,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     hydrated = min(args.devices or 50, 200)
     results = bench.run_all(device_count=hydrated,
                             image_size=args.image_size,
-                            max_workers=args.workers,
-                            io_rtt_seconds=args.io_rtt,
                             scale_devices=args.devices)
     path = bench.write_results(results, args.out)
     print(bench.format_summary(results))
     print("wrote %s" % path)
-    inversions = bench.find_inversions(results)
-    for inversion in inversions:
-        print("WARNING: executor inversion: %s" % inversion)
     if args.delta_out is not None:
         delta_results = bench.run_delta(image_size=args.delta_size)
         delta_path = bench.write_delta_results(delta_results, args.delta_out)
         print(bench.format_delta_summary(delta_results))
         print("wrote %s" % delta_path)
-    if inversions and args.strict:
-        print("STRICT: %d executor inversion(s); failing" % len(inversions))
-        return 1
     if args.baseline is None:
         return 0
     try:
@@ -673,14 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the fleet-scale performance benchmark harness")
     bench.add_argument("--devices", type=int, default=None,
                        help="fleet size for the columnar fleet_scale "
-                            "campaign; hydrated executor comparisons "
+                            "campaign; hydrated engine comparisons "
                             "cap at 200 (default: 50 hydrated, "
                             "10000 columnar)")
     bench.add_argument("--image-size", type=int, default=24 * 1024,
                        help="firmware image size in bytes (default: 24576)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="parallel executor worker count "
-                            "(default: CPU count, capped at 16)")
     bench.add_argument("--out", default="BENCH_fleet.json",
                        help="result file (default: ./BENCH_fleet.json)")
     bench.add_argument("--baseline", default=None,
@@ -689,12 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tolerance", type=float, default=0.20,
                        help="allowed fractional slowdown vs baseline "
                             "(default: 0.20)")
-    bench.add_argument("--strict", action="store_true",
-                       help="exit 1 when a pooled executor is slower "
-                            "than serial on any profile")
-    bench.add_argument("--io-rtt", type=float, default=0.05,
-                       help="host RTT in seconds for the campaign_io "
-                            "profile (default: 0.05)")
     bench.add_argument("--delta-out", default=None,
                        help="also run the delta fast-path benchmark and "
                             "write its artifact here (e.g. "

@@ -143,15 +143,12 @@ def validate_data(kind: str, version: int,
             errors += _require(data, ["sha256", "ecdsa_verify",
                                       "delta_generation", "campaign",
                                       "crypto_stats", "server_stats",
-                                      "metrics", "campaign_io",
-                                      "fleet_scale"], kind)
-            for section in ("campaign", "campaign_io"):
-                entry = data.get(section)
-                if isinstance(entry, dict) \
-                        and entry.get("reports_identical") is not True:
-                    errors.append("bench %s reports diverged between "
-                                  "engine/executor configurations"
-                                  % section)
+                                      "metrics", "fleet_scale"], kind)
+            campaign = data.get("campaign")
+            if isinstance(campaign, dict) \
+                    and campaign.get("reports_identical") is not True:
+                errors.append("bench campaign reports diverged between "
+                              "engine configurations")
             fleet_scale = data.get("fleet_scale")
             if isinstance(fleet_scale, dict):
                 errors += ["bench fleet_scale missing key %r" % key

@@ -11,16 +11,26 @@ from __future__ import annotations
 import pytest
 
 from repro.compression import compress as lzss_compress
-from repro.core import UpdateServer, VendorServer, make_test_identities
+from repro.core import (
+    DeviceProfile,
+    UpdateServer,
+    VendorServer,
+    make_test_identities,
+    provision_device,
+)
+from repro.crypto import use_engine
 from repro.delta import (
     ArtifactCache,
     artifact_key,
     diff as bsdiff_diff,
     shared_cache,
 )
-from repro.fleet import SerialWaveExecutor
+from repro.fleet import Campaign, DeviceRecord, RolloutPolicy
+from repro.memory import MemoryLayout
+from repro.platform import NRF52840, ZEPHYR
+from repro.sim import SimulatedDevice
 from repro.workload import FirmwareGenerator
-from tests.test_fleet_parallel import build_campaign, run_and_snapshot
+from tests.conftest import APP_ID, LINK_OFFSET
 
 
 def make_firmware(size=4096):
@@ -133,10 +143,54 @@ def test_cache_rejects_negative_bound():
 # -- campaign equivalence -----------------------------------------------------
 
 
+def build_campaign(count: int = 8) -> Campaign:
+    """A deterministic fleet at v1 with v2 published."""
+    generator = FirmwareGenerator(seed=b"artifacts-campaign")
+    fw_v1 = generator.firmware(8 * 1024, image_id=1)
+    fw_v2 = generator.app_functionality_change(fw_v1, revision=2)
+    vendor_id, server_id, anchors = make_test_identities()
+    vendor = VendorServer(vendor_id, app_id=APP_ID,
+                          link_offset=LINK_OFFSET)
+    server = UpdateServer(server_id)
+    server.publish(vendor.release(fw_v1, 1))
+
+    fleet = []
+    for index in range(count):
+        internal = NRF52840.make_internal_flash()
+        layout = MemoryLayout.configuration_a(internal, 128 * 1024)
+        profile = DeviceProfile(device_id=0x3000 + index, app_id=APP_ID,
+                                link_offset=LINK_OFFSET)
+        device = SimulatedDevice(
+            board=NRF52840, os_profile=ZEPHYR, layout=layout,
+            profile=profile, anchors=anchors,
+        )
+        provision_device(server, layout.get("a"), profile.device_id)
+        fleet.append(DeviceRecord(
+            name="dev-%02d" % index,
+            device=device,
+            transport="pull" if index % 2 else "push",
+        ))
+
+    server.publish(vendor.release(fw_v2, 2))
+    return Campaign(server, fleet, RolloutPolicy(canary_fraction=0.25))
+
+
+def run_and_snapshot(campaign: Campaign):
+    with use_engine("fast"):
+        report = campaign.run()
+    return (
+        report.to_dict(),
+        {record.name: record.state for record in campaign.fleet},
+        {record.name: record.attempts for record in campaign.fleet},
+        {record.name: record.device.installed_version()
+         for record in campaign.fleet},
+    )
+
+
 def test_disabled_cache_gives_byte_identical_campaign_reports():
     """The cache is an optimisation only: reports must not change."""
     def campaign_with(cache):
-        campaign = build_campaign(SerialWaveExecutor())
+        campaign = build_campaign()
         campaign.server.artifacts = cache
         return run_and_snapshot(campaign)
 

@@ -11,35 +11,23 @@ from repro.tools.bench import (
     DEFAULT_TOLERANCE,
     DELTA_GATE_METRICS,
     GATE_METRICS,
-    IO_GATE_METRICS,
     compare_to_baseline,
-    find_inversions,
 )
 from repro.tools.cli import main
 
 
-def synthetic(devices=50, image_bytes=24576, serial=14.0, fast=1.8,
-              parallel=2.0):
+def synthetic(devices=50, image_bytes=24576, serial=14.0, fast=1.8):
     return {"campaign": {
         "devices": devices,
         "image_bytes": image_bytes,
         "reference_serial_seconds": serial,
         "fast_serial_seconds": fast,
-        "fast_parallel_seconds": parallel,
     }}
 
 
-def synthetic_full(io_serial=4.0, io_parallel=1.5, delta_total=0.15,
-                   **kwargs):
-    """A document with the optional campaign_io + delta sections."""
+def synthetic_full(delta_total=0.15, **kwargs):
+    """A document with the optional delta section."""
     doc = synthetic(**kwargs)
-    doc["campaign_io"] = {
-        "devices": doc["campaign"]["devices"],
-        "image_bytes": doc["campaign"]["image_bytes"],
-        "host_rtt_seconds": 0.05,
-        "fast_serial_seconds": io_serial,
-        "fast_parallel_seconds": io_parallel,
-    }
     doc["delta_generation"] = {
         "firmware_bytes": 49152,
         "bsdiff_seconds": delta_total * 0.8,
@@ -54,7 +42,7 @@ def test_identical_runs_pass_the_gate():
 
 
 def test_getting_faster_never_trips_the_gate():
-    fresh = synthetic(serial=7.0, fast=0.9, parallel=1.0)
+    fresh = synthetic(serial=7.0, fast=0.9)
     assert compare_to_baseline(fresh, synthetic()) == []
 
 
@@ -64,10 +52,10 @@ def test_small_slowdowns_within_tolerance_pass():
 
 
 def test_regression_beyond_tolerance_is_named():
-    fresh = synthetic(parallel=2.0 * 1.25)
+    fresh = synthetic(fast=1.8 * 1.25)
     problems = compare_to_baseline(fresh, synthetic())
     assert len(problems) == 1
-    assert "fast_parallel_seconds regressed" in problems[0]
+    assert "fast_serial_seconds regressed" in problems[0]
     assert "+25%" in problems[0]
     # A looser tolerance lets the same run through.
     assert compare_to_baseline(fresh, synthetic(), tolerance=0.3) == []
@@ -105,7 +93,7 @@ def test_default_tolerance_is_twenty_percent():
     assert DEFAULT_TOLERANCE == pytest.approx(0.20)
 
 
-# -- optional campaign_io / delta_generation gating ---------------------------
+# -- optional delta_generation gating -----------------------------------------
 
 
 def test_optional_sections_are_skipped_when_absent():
@@ -113,30 +101,6 @@ def test_optional_sections_are_skipped_when_absent():
     # and the reverse — must both gate cleanly on the shared section.
     assert compare_to_baseline(synthetic_full(), synthetic()) == []
     assert compare_to_baseline(synthetic(), synthetic_full()) == []
-
-
-def test_io_profile_regression_is_named():
-    fresh = synthetic_full(io_parallel=1.5 * 1.5)
-    problems = compare_to_baseline(fresh, synthetic_full())
-    assert len(problems) == 1
-    assert "campaign_io fast_parallel_seconds regressed" in problems[0]
-
-
-def test_every_io_metric_is_checked():
-    for metric in IO_GATE_METRICS:
-        fresh = synthetic_full()
-        fresh["campaign_io"][metric] *= 2.0
-        problems = compare_to_baseline(fresh, synthetic_full())
-        assert any("campaign_io " + metric in p for p in problems)
-
-
-def test_io_rtt_mismatch_demands_a_fresh_baseline():
-    fresh = synthetic_full()
-    fresh["campaign_io"]["host_rtt_seconds"] = 0.1
-    problems = compare_to_baseline(fresh, synthetic_full())
-    assert len(problems) == 1
-    assert "campaign_io baseline" in problems[0]
-    assert "regenerate the baseline" in problems[0]
 
 
 def test_delta_generation_regression_is_named():
@@ -154,6 +118,31 @@ def test_delta_workload_mismatch_demands_a_fresh_baseline():
     assert "delta_generation baseline ran firmware_bytes" in problems[0]
 
 
+def test_delta_timings_are_the_median_of_repeats(monkeypatch):
+    """One slow cold pass moves no gated delta_generation timing."""
+    import types
+
+    diff_runs = [0.5] + [0.1] * (bench.DELTA_REPEATS - 1)
+    lzss_runs = [0.2] + [0.02] * (bench.DELTA_REPEATS - 1)
+    ticks, now = [], 0.0
+    for diff_s, lzss_s in zip(diff_runs, lzss_runs):
+        ticks += [now, now + diff_s, now + diff_s, now + diff_s + lzss_s]
+        now += diff_s + lzss_s
+    clock = iter(ticks)
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(bench, "bsdiff_diff", lambda old, new: b"patch")
+    monkeypatch.setattr(bench, "lzss_compress", lambda data: b"delta")
+
+    result = bench.bench_delta(image_size=1024)
+    assert bench.DELTA_REPEATS >= 5
+    assert result["repeats"] == bench.DELTA_REPEATS
+    assert result["bsdiff_seconds"] == pytest.approx(0.1)
+    assert result["lzss_seconds"] == pytest.approx(0.02)
+    assert result["total_seconds"] == pytest.approx(0.12)
+    assert next(clock, None) is None       # every repeat was timed
+
+
 def test_baseline_from_another_host_demands_a_fresh_baseline():
     base = synthetic()
     base["host"] = {"python": "3.11.7", "cpu_count": 1}
@@ -168,12 +157,12 @@ def test_baseline_from_another_host_demands_a_fresh_baseline():
 def test_baseline_from_the_same_host_is_gated_normally():
     base = synthetic()
     base["host"] = {"python": "3.11.7", "cpu_count": 2}
-    fresh = synthetic(parallel=2.0 * 1.25)
+    fresh = synthetic(fast=1.8 * 1.25)
     fresh["host"] = dict(base["host"])
     assert compare_to_baseline(synthetic(), base) == []
     problems = compare_to_baseline(fresh, base)
     assert len(problems) == 1
-    assert "fast_parallel_seconds regressed" in problems[0]
+    assert "fast_serial_seconds regressed" in problems[0]
 
 
 def synthetic_scale(devices=10_000, image_bytes=24576,
@@ -322,38 +311,13 @@ def test_mixed_kind_artifacts_keep_the_legacy_error():
         == ["baseline or current results carry no campaign section"]
 
 
-# -- executor inversion detection ---------------------------------------------
-
-
-def test_find_inversions_flags_pooled_slower_than_serial():
-    doc = synthetic()  # parallel 2.0 > fast 1.8: an inversion
-    inversions = find_inversions(doc)
-    assert len(inversions) == 1
-    assert "campaign: fast_parallel" in inversions[0]
-
-
-def test_find_inversions_covers_both_profiles_and_pools():
-    doc = synthetic_full(io_serial=1.0, io_parallel=1.5)
-    inversions = find_inversions(doc)
-    assert len(inversions) == 2  # the thread pool x 2 profiles
-    assert any("campaign_io: fast_parallel" in i for i in inversions)
-
-
-def test_find_inversions_tolerates_sparse_documents():
-    assert find_inversions({}) == []
-    assert find_inversions({"campaign": {"fast_serial_seconds": 0}}) == []
-    fast = synthetic(fast=2.0, parallel=1.0)
-    assert find_inversions(fast) == []
-
-
 # -- the CLI wiring (satellite: exit status gates CI) -------------------------
 
 
 @pytest.fixture()
 def fake_bench_run(monkeypatch):
     """Stub the expensive harness; ``cli bench`` still writes/gates."""
-    def run_all(device_count, image_size, max_workers, io_rtt_seconds=0.05,
-                scale_devices=None):
+    def run_all(device_count, image_size, scale_devices=None):
         return synthetic(devices=device_count, image_bytes=image_size)
 
     def write_results(results, path):
@@ -392,8 +356,7 @@ def test_cli_bench_passes_against_matching_baseline(tmp_path,
 def test_cli_bench_fails_on_regression(tmp_path, fake_bench_run,
                                        capsys):
     baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, synthetic(serial=14.0 / 2, fast=1.8 / 2,
-                                       parallel=2.0 / 2))
+    write_baseline(baseline, synthetic(serial=14.0 / 2, fast=1.8 / 2))
     rc = main(["bench", "--out", str(tmp_path / "fresh.json"),
                "--baseline", str(baseline)])
     assert rc == 1
@@ -418,26 +381,6 @@ def test_cli_bench_rejects_a_missing_baseline(tmp_path, fake_bench_run,
                "--baseline", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "UNUSABLE" in capsys.readouterr().out
-
-
-def test_cli_bench_warns_on_inversion_without_strict(tmp_path,
-                                                     fake_bench_run,
-                                                     capsys):
-    # synthetic() has fast_parallel (2.0 s) slower than fast_serial
-    # (1.8 s) — an inversion, but only a warning without --strict.
-    rc = main(["bench", "--out", str(tmp_path / "fresh.json")])
-    assert rc == 0
-    assert "WARNING: executor inversion" in capsys.readouterr().out
-
-
-def test_cli_bench_strict_fails_on_inversion(tmp_path, fake_bench_run,
-                                             capsys):
-    rc = main(["bench", "--out", str(tmp_path / "fresh.json"),
-               "--strict"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "WARNING: executor inversion" in out
-    assert "STRICT:" in out
 
 
 def test_cli_bench_delta_out_writes_an_artifact(tmp_path, fake_bench_run,

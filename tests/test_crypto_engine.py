@@ -455,32 +455,3 @@ def test_snapshots_never_tear_under_contention():
             watcher.join()
     assert torn == []
 
-
-def test_engine_counters_merge_exactly_across_executors():
-    """Thread-pool campaigns account every verify.
-
-    The serial run is ground truth.  The thread pool shares one engine
-    through lock-guarded increments and must land on exactly the
-    serial ``verify_calls`` total — a lost update shows up as a
-    shortfall here.
-    """
-    from repro.fleet import ParallelWaveExecutor, SerialWaveExecutor
-    from repro.tools.bench import _build_campaign
-
-    totals = {}
-    executors = {
-        "serial": SerialWaveExecutor,
-        "threads": lambda: ParallelWaveExecutor(max_workers=4),
-    }
-    for label, make in executors.items():
-        executor = make()
-        campaign = _build_campaign(6, 4 * 1024, executor)
-        with use_engine("fast") as engine:
-            engine.clear_caches()
-            report = campaign.run()
-            stats = engine.stats_snapshot()
-        executor.close()
-        assert not report.aborted and len(report.updated) == 6
-        totals[label] = stats.verify_calls
-        assert stats.verify_cache_hits <= stats.verify_calls
-    assert totals["threads"] == totals["serial"]

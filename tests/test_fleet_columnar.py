@@ -37,7 +37,6 @@ from repro.fleet import (
     RolloutPolicy,
     ScaleCampaign,
     ScaleReport,
-    SerialWaveExecutor,
 )
 from repro.fleet.columnar import ROW_DTYPE, STATE_CODES
 from repro.memory import MemoryLayout

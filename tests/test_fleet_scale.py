@@ -97,7 +97,7 @@ def _correlated_parity_fixture(device_count, image_size, plan,
                             make_test_identities, provision_device)
     from repro.fleet import (Campaign, ColumnarFleet, DeviceRecord,
                              DeviceSpec, RetryPolicy, RolloutPolicy,
-                             ScaleCampaign, SerialWaveExecutor)
+                             ScaleCampaign)
     from repro.memory import MemoryLayout
     from repro.net import BLE_GATT, COAP_6LOWPAN
     from repro.platform import NRF52840, ZEPHYR
@@ -156,7 +156,7 @@ def _correlated_parity_fixture(device_count, image_size, plan,
         for index in range(device_count)]
     hydrated_server.publish(release_v2)
     hydrated = Campaign(hydrated_server, hydrated_fleet, policy,
-                        executor=SerialWaveExecutor(), retry=retry)
+                        retry=retry)
 
     # Columnar path -------------------------------------------------------
     scale_server = fresh_server()

@@ -19,7 +19,6 @@ from repro.fleet import (
     Campaign,
     DeviceRecord,
     DeviceState,
-    ParallelWaveExecutor,
     RetryPolicy,
     RolloutPolicy,
 )
@@ -98,22 +97,6 @@ def test_breach_free_telemetry_is_invisible_to_the_report():
     assert len(telemetry.samples) == 8
     assert telemetry.verdict() == "ok"
     assert telemetry.store.total_points() > 0
-
-
-def test_serial_and_parallel_scrapes_build_identical_stores():
-    server_a, fleet_a = build_fleet(6)
-    server_b, fleet_b = build_fleet(6)
-    serial_tel = FleetTelemetry()
-    Campaign(server_a, fleet_a,
-             RolloutPolicy(canary_fraction=0.2),
-             telemetry=serial_tel).run()
-    parallel_tel = FleetTelemetry()
-    Campaign(server_b, fleet_b,
-             RolloutPolicy(canary_fraction=0.2),
-             executor=ParallelWaveExecutor(max_workers=4),
-             telemetry=parallel_tel).run()
-    assert serial_tel.store.to_dict() == parallel_tel.store.to_dict()
-    assert serial_tel.to_dict() == parallel_tel.to_dict()
 
 
 # -- SLO-driven rollout control ----------------------------------------------

@@ -150,7 +150,6 @@ def test_validate_bench_checks_fleet_scale_shape():
         "sha256": {}, "ecdsa_verify": {}, "delta_generation": {},
         "campaign": {"reports_identical": True},
         "crypto_stats": {}, "server_stats": {}, "metrics": {},
-        "campaign_io": {"reports_identical": True},
         "fleet_scale": {"devices": 10_000, "devices_per_s": 5000.0,
                         "sampled_parity": False},
     }
