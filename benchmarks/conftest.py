@@ -21,6 +21,12 @@ from repro.workload import FirmwareGenerator
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
+def render(title: str, header: Iterable[str],
+           rows: Iterable[Iterable[object]]) -> str:
+    """The text of one ``results/<name>.txt``."""
+    return "%s\n%s\n" % (title, format_table(header, rows))
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -38,7 +44,7 @@ def report(results_dir):
 
     def _report(name: str, title: str, header: Iterable[str],
                 rows: Iterable[Iterable[object]]) -> str:
-        text = "%s\n%s\n" % (title, format_table(header, rows))
+        text = render(title, header, rows)
         print("\n" + text)
         path = os.path.join(results_dir, "%s.txt" % name)
         with open(path, "w") as fh:

@@ -175,7 +175,8 @@ class LzssDecoder:
         buf = self._partial + bytes(chunk)
         self._partial = b""
         window = self._window
-        base = len(window)
+        # ``size`` tracks len(window) through the loop.
+        base = size = len(window)
         flags = self._flags
         remaining = self._remaining_in_group
         n = len(buf)
@@ -187,8 +188,11 @@ class LzssDecoder:
                 i += 1
             elif flags & 1:
                 # A run of set flag bits is a run of literals: one copy.
-                run = min((flags ^ (flags + 1)).bit_length() - 1, n - i)
+                run = (flags ^ (flags + 1)).bit_length() - 1
+                if run > n - i:
+                    run = n - i
                 window += buf[i:i + run]
+                size += run
                 i += run
                 flags >>= run
                 remaining -= run
@@ -208,12 +212,12 @@ class LzssDecoder:
                     length = code + MIN_MATCH
                     i += 2
                 dist = (token >> 4) + 1
-                if dist > len(window):
+                if dist > size:
                     raise LzssError(
                         "back-reference distance %d exceeds window %d"
-                        % (dist, len(window))
+                        % (dist, size)
                     )
-                start = len(window) - dist
+                start = size - dist
                 if dist >= length:
                     window += window[start:start + length]
                 else:
@@ -222,13 +226,14 @@ class LzssDecoder:
                     # last `dist` bytes periodically.
                     seg = window[start:]
                     window += (seg * (length // dist + 1))[:length]
+                size += length
                 flags >>= 1
                 remaining -= 1
         self._flags = flags
         self._remaining_in_group = remaining
         out = bytes(window[base:])
-        if len(window) > 2 * WINDOW_SIZE:
-            del window[:len(window) - WINDOW_SIZE]
+        if size > 2 * WINDOW_SIZE:
+            del window[:size - WINDOW_SIZE]
         return out
 
     def finish(self) -> None:

@@ -248,6 +248,8 @@ class UpdateAgent:
     def feed(self, data: bytes) -> FeedStatus:
         """Handle bytes from the push or pull transport."""
         try:
+            if self.state is AgentState.RECEIVE_FIRMWARE:
+                return self._receive_firmware(data)
             return self._feed(data)
         except UpdateError as exc:
             self.events.emit("agent", EventKind.UPDATE_REJECTED,
@@ -303,10 +305,15 @@ class UpdateAgent:
             installed = inspect_slot(running)
             assert installed is not None
             old_size = installed.manifest.size
+            # bspatch reads the old image once per add region: bind the
+            # running slot's flash and image base here.  The patcher
+            # keeps its reads inside ``old_size``, so they stay inside
+            # the slot.
+            read_flash = running.flash.read
+            base = running.offset + ENVELOPE_SIZE
 
-            def old_reader(offset: int, length: int,
-                           _slot: Slot = running) -> bytes:
-                return _slot.read(ENVELOPE_SIZE + offset, length)
+            def old_reader(offset: int, length: int) -> bytes:
+                return read_flash(base + offset, length)
 
         # Persist the envelope at the slot head, then stream the payload
         # right behind it.
@@ -333,15 +340,15 @@ class UpdateAgent:
                          payload_size=manifest.payload_size)
 
     def _receive_firmware(self, data: bytes) -> FeedStatus:
-        assert self._pending_manifest is not None and self._pipeline is not None
         manifest = self._pending_manifest
-        if self._payload_received + len(data) > manifest.payload_size:
+        received = self._payload_received + len(data)
+        if received > manifest.payload_size:
             raise SizeExceeded(
                 "payload exceeded declared size of %d bytes"
                 % manifest.payload_size)
-        self._payload_received += len(data)
+        self._payload_received = received
         self._pipeline.feed(data)
-        if self._payload_received < manifest.payload_size:
+        if received < manifest.payload_size:
             return FeedStatus.NEED_MORE
         with self.tracer.span("pipeline.finish", category="pipeline"):
             self._pipeline.finish()

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 from ..compression import LzssDecoder, LzssError
 from ..crypto import StreamCipher
 from ..delta import PatchFormatError, StreamingPatcher
-from ..obs import NULL_TRACER
+from ..obs import NULL_SPAN, NULL_TRACER
 from .errors import PipelineError
 from .manifest import Manifest
 
@@ -159,6 +159,10 @@ class Pipeline:
         #: Per-stage ``[bytes_in, bytes_out]``, surfaced as
         #: ``pipeline.<stage>.*`` metrics by the agent.
         self.stage_bytes = {stage.name: [0, 0] for stage in stages}
+        #: What :meth:`feed` walks per chunk: each stage with its
+        #: ``stage_bytes`` record.
+        self._plan = [(stage, self.stage_bytes[stage.name])
+                      for stage in stages]
         #: One-shot latch so the agent flushes each pipeline's stage
         #: counts into its registry exactly once.
         self.metrics_flushed = False
@@ -174,18 +178,24 @@ class Pipeline:
         """Push a network chunk through every stage; returns bytes written."""
         if self._finished:
             raise PipelineError("pipeline already finished")
-        self.bytes_in += len(chunk)
+        size = len(chunk)
+        self.bytes_in += size
         # Zero-copy staging: chunks arriving as bytes pass through
         # untouched; only mutable buffers are snapshotted.
         data = chunk if type(chunk) is bytes else bytes(chunk)
-        for stage in self.stages:
-            record = self.stage_bytes[stage.name]
-            record[0] += len(data)
-            with self.tracer.span(stage.name, category="pipeline",
-                                  nbytes=len(data)):
+        tracer = self.tracer
+        traced = tracer.enabled
+        for stage, record in self._plan:
+            record[0] += size
+            if traced:
+                with tracer.span(stage.name, category="pipeline",
+                                 nbytes=size):
+                    data = stage.feed(data)
+            else:
                 data = stage.feed(data)
-            record[1] += len(data)
-            if not data:
+            size = len(data)
+            record[1] += size
+            if not size:
                 return 0
         return self._write(data)
 
@@ -209,8 +219,10 @@ class Pipeline:
         return self.bytes_out
 
     def _write(self, data: bytes) -> int:
-        with self.tracer.span("flash.write", category="pipeline",
-                              nbytes=len(data)):
+        tracer = self.tracer
+        with (tracer.span("flash.write", category="pipeline",
+                          nbytes=len(data))
+              if tracer.enabled else NULL_SPAN):
             written = self._sink(data)
         if written != len(data):
             raise PipelineError(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 __all__ = ["LinkProfile", "Link", "TransferReport", "Outage", "LossBurst",
            "Slowdown", "LinkDownError", "BLE_GATT", "COAP_6LOWPAN",
@@ -189,6 +189,8 @@ class Link:
         self._slowdowns: List[Slowdown] = sorted(slowdowns,
                                                  key=lambda s: s.at_byte)
         self._down_for = 0  # failures remaining in the active outage
+        #: Clean-link reports by payload size (immutable, so shared).
+        self._clean_reports: Dict[int, TransferReport] = {}
 
     def _effective_loss_rate(self) -> float:
         for burst in self._bursts:
@@ -219,7 +221,27 @@ class Link:
 
         Raises :class:`LinkDownError` — delivering nothing and charging
         nothing — while an :class:`Outage` is active.
+
+        A clean link (no outage pending, no loss, no bursts, no
+        slowdowns) costs ``packets * packet_interval + nbytes /
+        raw_throughput``.  That is the general expression below with no
+        retransmissions and ``factor`` 1.0, bit for bit: multiplying by
+        1.0 is exact, and adding the ``0 * retransmit_timeout`` term
+        adds ``0.0``.  It draws no random numbers either way.
         """
+        if not (self._outages or self._down_for or self.loss_rate
+                or self._bursts or self._slowdowns):
+            report = self._clean_reports.get(nbytes)
+            if report is None:
+                profile = self.profile
+                packets = profile.packets_for(nbytes)
+                report = self._clean_reports[nbytes] = TransferReport(
+                    nbytes, packets, 0,
+                    packets * profile.packet_interval
+                    + nbytes / profile.raw_throughput)
+            self.total_packets += report.packets
+            self.total_bytes += nbytes
+            return report
         self._check_outage()
         packets = self.profile.packets_for(nbytes)
         retransmissions = 0

@@ -43,7 +43,7 @@ from ..core import (
     UpdateImage,
     UpdateServer,
 )
-from ..obs import NULL_TRACER, UPDATE_LATENCY_BUCKETS
+from ..obs import NULL_SPAN, NULL_TRACER, UPDATE_LATENCY_BUCKETS
 from ..sim.device import SimulatedDevice
 from .link import BLE_GATT, COAP_6LOWPAN, Link, LinkDownError, LinkProfile
 
@@ -207,19 +207,22 @@ class _TransportBase:
         """
         status = FeedStatus.NEED_MORE
         mtu = self.link.profile.mtu
-        offset = 0
-        with self.tracer.span("transfer.%s" % label,
-                              category="propagation", nbytes=len(data)):
-            while offset < len(data):
+        tracer = self.tracer
+        traced = tracer.enabled
+        device = self.device
+        direction = self.direction_payload
+        with tracer.span("transfer.%s" % label,
+                         category="propagation", nbytes=len(data)):
+            for offset in range(0, len(data), mtu):
                 chunk = data[offset:offset + mtu]
-                with self.tracer.span("block", category="transfer",
-                                      offset=offset, nbytes=len(chunk)):
-                    report = self._transfer(len(chunk))
-                    self.device.account_radio(report.seconds,
-                                              self.direction_payload)
-                    self.bytes_over_air += len(chunk)
-                    status = self.device.feed(chunk)
-                offset += len(chunk)
+                nbytes = len(chunk)
+                with (tracer.span("block", category="transfer",
+                                  offset=offset, nbytes=nbytes)
+                      if traced else NULL_SPAN):
+                    report = self._transfer(nbytes)
+                    device.account_radio(report.seconds, direction)
+                    self.bytes_over_air += nbytes
+                    status = device.feed(chunk)
         return status
 
     def _finish(self, start_clock: float, error: Optional[UpdateError],

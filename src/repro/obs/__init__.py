@@ -53,6 +53,7 @@ from .slo import (
 )
 from .timeseries import FleetScraper, Point, Series, TimeSeriesStore
 from .trace import (
+    NULL_SPAN,
     NULL_TRACER,
     Span,
     TRACEPARENT_HEADER,
@@ -98,6 +99,7 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "to_openmetrics",
     "write_openmetrics",
+    "NULL_SPAN",
     "NULL_TRACER",
     "Span",
     "Tracer",

@@ -38,7 +38,8 @@ import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "NULL_TRACER", "TRACEPARENT_HEADER",
+__all__ = ["Span", "Tracer", "NULL_TRACER", "NULL_SPAN",
+           "TRACEPARENT_HEADER",
            "new_trace_id", "format_traceparent", "parse_traceparent",
            "merge_chrome_traces", "containment_errors"]
 
@@ -113,8 +114,9 @@ class Span:
 
 
 #: What a disabled tracer's span() returns: one shared, reusable
-#: do-nothing context manager.
-_NULL_CONTEXT = contextlib.nullcontext()
+#: do-nothing context manager.  Per-packet hot paths test
+#: ``tracer.enabled`` once and use it directly, skipping the call.
+NULL_SPAN = contextlib.nullcontext()
 
 
 class _SpanContext:
@@ -193,7 +195,7 @@ class Tracer:
         always inherit their parent's trace and lane.
         """
         if not self.enabled:
-            return _NULL_CONTEXT
+            return NULL_SPAN
         opened = self.now_fn() if start is None else start
         return _SpanContext(self, self._open(name, category, opened,
                                              trace_id, args))

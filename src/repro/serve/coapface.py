@@ -49,7 +49,7 @@ from ..net.coap import (
     VERSION,
 )
 from ..obs.trace import NULL_TRACER
-from .routes import RoutedFace
+from .routes import RoutedFace, keep_heap_top
 from .service import FleetService, ServiceError
 from .telemetry import ServeTelemetry
 
@@ -307,6 +307,7 @@ class CoapDeviceClient:
         self.endpoint = b"coap-ep-%d" % device_id
         self._mid = secrets.randbits(16)
         self._token_counter = secrets.randbits(32)
+        keep_heap_top()
 
     async def run_session(self) -> Dict[str, object]:
         with self.tracer.span("device.session", category="device",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import ctypes
+import functools
 import json
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -206,21 +207,28 @@ class _Request(NamedTuple):
     raw: Any
 
 
-def _keep_heap_top() -> None:
+@functools.lru_cache(maxsize=None)
+def keep_heap_top() -> None:
     """Serve socket reads from a heap top glibc neither maps nor trims.
 
     asyncio reads each datagram or stream chunk into a fresh 256 KiB
     buffer and shrinks it to what arrived.  glibc carves that buffer
     from the heap top when the top has room, and otherwise maps it
     (when it exceeds the dynamic mmap threshold) or grows the heap,
-    trimming the freed tail again afterwards — in the last two modes every read
-    costs two page faults and a syscall or two.  Which mode a server
-    lands in is a heap-layout accident (even the checkout path's
-    length flips it); on the CoAP face the bad modes cost ~15% of
-    server CPU (CPython 3.11, glibc 2.36, 2-vCPU x86-64 VM).  Fixed
-    thresholds — ``M_MMAP_THRESHOLD`` (-3) at 1 MiB,
-    ``M_TRIM_THRESHOLD`` (-1) at 16 MiB — keep every read on a retained
-    heap top.  Without glibc there is nothing to do.
+    trimming the freed tail again afterwards — in the last two modes
+    every read costs two page faults and a syscall or two.  Which mode
+    a process lands in is a heap-layout accident (even the checkout
+    path's length flips it).  Both ends of a session read that way:
+    on the server, the CoAP face's bad modes cost ~15% of server CPU;
+    a :class:`~repro.serve.coapface.CoapDeviceClient` process in them
+    took 33k-40k minor faults in a 6 s run instead of ~8k, and two to
+    three times the system time (CPython 3.11, glibc 2.36, 2-vCPU
+    x86-64 VM).  Fixed thresholds — ``M_MMAP_THRESHOLD`` (-3) at
+    1 MiB, ``M_TRIM_THRESHOLD`` (-1) at 16 MiB — keep every read on a
+    retained heap top.  The settings are process-wide, so the first
+    call applies them and later ones return at once; ``RoutedFace``
+    (both server faces) and ``CoapDeviceClient`` call it.  Without
+    glibc there is nothing to do.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -246,7 +254,7 @@ class RoutedFace:
         self.telemetry = telemetry or ServeTelemetry(service.metrics)
         self.tracer = tracer or NULL_TRACER
         self._category = "serve." + self.proto
-        _keep_heap_top()
+        keep_heap_top()
 
     def chunk_range(self, raw: Any) -> Tuple[int, Optional[int]]:
         """``(offset, length)`` of a payload-chunk request."""

@@ -33,9 +33,9 @@ import json
 import re
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, Histogram, MetricsRegistry
 from ..obs.slo import percentile
 
 __all__ = ["ServeTelemetry", "EventLoopWatchdog",
@@ -95,6 +95,11 @@ class ServeTelemetry:
             "serve.loop.lag_hist_ms", LOOP_LAG_MS_BUCKETS,
             "event-loop scheduling lag")
         self._lag_samples: Deque[float] = deque(maxlen=2048)
+        #: Per-route families, fetched from the registry once each:
+        #: the request counter by ``(route, status)`` and the latency
+        #: histogram by route.  Labels are bounded, and so are these.
+        self._route_counts: Dict[Tuple[str, int], Counter] = {}
+        self._route_latency: Dict[str, Histogram] = {}
 
     # -- request accounting -------------------------------------------------
 
@@ -108,15 +113,24 @@ class ServeTelemetry:
                         = None) -> None:
         """Account one finished request and emit its access-log line."""
         self._in_flight.inc(-1.0)
-        slug = _route_slug(route)
-        self.registry.counter(
-            "serve.requests_by_route.%s.%d" % (slug, status),
-            "requests: %s -> %d" % (route, status)).inc()
+        count = self._route_counts.get((route, status))
+        if count is None:
+            count = self._route_counts[route, status] = \
+                self.registry.counter(
+                    "serve.requests_by_route.%s.%d"
+                    % (_route_slug(route), status),
+                    "requests: %s -> %d" % (route, status))
+        count.inc()
         self._bytes.inc(nbytes)
         duration_ms = duration_s * 1000.0
-        self.registry.histogram(
-            "serve.latency_ms.%s" % slug, REQUEST_LATENCY_MS_BUCKETS,
-            "request latency: %s" % route).observe(duration_ms)
+        latency = self._route_latency.get(route)
+        if latency is None:
+            latency = self._route_latency[route] = \
+                self.registry.histogram(
+                    "serve.latency_ms.%s" % _route_slug(route),
+                    REQUEST_LATENCY_MS_BUCKETS,
+                    "request latency: %s" % route)
+        latency.observe(duration_ms)
         record: Dict[str, Any] = {
             "t": round(time.time(), 3),
             "proto": proto,

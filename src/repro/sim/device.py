@@ -25,6 +25,7 @@ from ..core import (
     DeviceProfile,
     DeviceToken,
     FeedStatus,
+    PayloadKind,
     TrustAnchors,
     UpdateAgent,
 )
@@ -95,6 +96,9 @@ class SimulatedDevice:
             profile, layout, anchors, self.backend)
         self.cpu = cpu_model or PipelineCpuModel()
         self.clock = VirtualClock()
+        #: ``direction -> (meter component, current)`` for radio time.
+        self._radio = {"rx": ("radio_rx", board.radio_rx_ma),
+                       "tx": ("radio_tx", board.radio_tx_ma)}
         self.meter = EnergyMeter(supply_volts=board.supply_volts)
         self.reboots = 0
         #: During propagation the radio (kB/s) is orders of magnitude
@@ -150,25 +154,54 @@ class SimulatedDevice:
         """Deliver one wire chunk to the agent, metering its side effects.
 
         Costs are drained in a ``finally`` block: a rejected update still
-        paid for the flash writes and the failed signature check.
+        paid for the flash writes and the failed signature check.  The
+        pipeline CPU is charged by the manifest in force after the chunk
+        (or before it, when the chunk got the update rejected).
         """
-        pending = getattr(self.agent, "_pending_manifest", None)
+        agent = self.agent
+        pending = getattr(agent, "_pending_manifest", None)
         try:
-            status = self.agent.feed(chunk)
+            status = agent.feed(chunk)
         finally:
-            self._drain_flash("propagation")
-            self._drain_crypto("verification")
-            manifest = (getattr(self.agent, "_pending_manifest", None)
-                        or pending)
-            if manifest is not None and manifest.is_delta:
-                cpu_seconds = len(chunk) / self.cpu.lzss_bytes_per_second
-                cpu_seconds += len(chunk) / self.cpu.bspatch_bytes_per_second
-                self._spend_cpu(cpu_seconds, "propagation")
-            if manifest is not None and manifest.is_encrypted:
-                self._spend_cpu(
-                    len(chunk) / self.cpu.decrypt_bytes_per_second,
-                    "propagation")
+            for flash in self.flash_devices:
+                if flash.stats.busy_seconds > 0:
+                    self._drain_flash("propagation")
+                    break
+            if self.backend.elapsed_seconds() > 0:
+                self._drain_crypto("verification")
+            manifest = getattr(agent, "_pending_manifest", None) or pending
+            if manifest is not None:
+                key = (manifest.payload_kind, len(chunk))
+                costs = self._cpu_costs.get(key)
+                if costs is None:
+                    costs = self._cpu_costs[key] = self._pipeline_cpu(*key)
+                for seconds in costs:
+                    self._spend_cpu(seconds, "propagation")
         return status
+
+    @property
+    def cpu(self) -> PipelineCpuModel:
+        return self._cpu
+
+    @cpu.setter
+    def cpu(self, model: PipelineCpuModel) -> None:
+        self._cpu = model
+        self._cpu_costs: "dict[tuple[int, int], tuple[float, ...]]" = {}
+
+    def _pipeline_cpu(self, payload_kind: int, nbytes: int
+                      ) -> "tuple[float, ...]":
+        """The CPU charges, in order, for ``nbytes`` of one payload kind:
+        LZSS + bspatch for a delta, then decryption for a ciphertext.
+        :meth:`feed` caches them per chunk length, until :attr:`cpu` is
+        replaced."""
+        cpu = self._cpu
+        costs: "tuple[float, ...]" = ()
+        if PayloadKind.is_delta(payload_kind):
+            costs += (nbytes / cpu.lzss_bytes_per_second
+                      + nbytes / cpu.bspatch_bytes_per_second,)
+        if PayloadKind.is_encrypted(payload_kind):
+            costs += (nbytes / cpu.decrypt_bytes_per_second,)
+        return costs
 
     def reboot(self) -> BootResult:
         """Reboot into the bootloader and load an image (loading phase)."""
@@ -201,10 +234,9 @@ class SimulatedDevice:
 
     def account_radio(self, seconds: float, direction: str,
                       phase: str = "propagation") -> None:
-        current = (self.board.radio_rx_ma if direction == "rx"
-                   else self.board.radio_tx_ma)
+        component, current = self._radio[direction]
         self.clock.advance(seconds, phase)
-        self.meter.add("radio_%s" % direction, seconds, current)
+        self.meter.add(component, seconds, current)
 
     # -- cost draining -----------------------------------------------------------
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
+from repro.obs.export import to_openmetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     CoapDatagramRelay,
@@ -22,6 +24,7 @@ from repro.serve import (
     HttpServer,
     ServeTelemetry,
 )
+from repro.serve.telemetry import REQUEST_LATENCY_MS_BUCKETS
 from repro.serve.routes import route_label
 from repro.tools.swarm import SwarmHttpClient, run_http_session
 
@@ -47,6 +50,54 @@ def test_observe_request_feeds_counters_histogram_and_ring():
     assert record["status"] == 206
     assert record["trace_id"] == "ab" * 16
     assert record["duration_ms"] == 4.0
+
+
+def _reference_observe(registry, route, status, nbytes, duration_s):
+    """Per-request accounting as a fresh get-or-create of each family:
+    what the cached families must reproduce."""
+    slug = re.sub(r"[^a-z0-9]+", "_", route.lower()).strip("_") \
+        or "unknown"
+    registry.counter("serve.requests_by_route.%s.%d" % (slug, status),
+                     "requests: %s -> %d" % (route, status)).inc()
+    registry.counter("serve.bytes_served",
+                     "response body bytes sent").inc(nbytes)
+    registry.histogram("serve.latency_ms.%s" % slug,
+                       REQUEST_LATENCY_MS_BUCKETS,
+                       "request latency: %s" % route).observe(
+        duration_s * 1000.0)
+
+
+def test_route_families_are_created_once_with_unchanged_exposition():
+    mix = [("http", "GET /images/{token}", 206, 2048, 0.0007),
+           ("coap", "GET manifests/{token}", 200, 512, 0.0031),
+           ("http", "GET /images/{token}", 416, 0, 0.0002),
+           ("http", "POST /devices", 201, 64, 0.012),
+           ("coap", "GET manifests/{token}", 200, 512, 0.0009),
+           ("http", "GET /images/{token}", 206, 2048, 0.0011),
+           ("http", "!!!", 404, 16, 0.0001)] * 3
+    registry = MetricsRegistry()
+    created = []
+    for kind in ("counter", "histogram"):
+        def spy(name, *args, _get=getattr(registry, kind), **kwargs):
+            created.append(name)
+            return _get(name, *args, **kwargs)
+        setattr(registry, kind, spy)
+    telemetry = ServeTelemetry(registry)
+    reference = MetricsRegistry()
+    ServeTelemetry(reference)
+    for proto, route, status, nbytes, seconds in mix:
+        telemetry.request_started()
+        telemetry.observe_request(proto, route, status, nbytes, seconds)
+        reference.gauge("serve.in_flight_requests").inc()
+        reference.gauge("serve.in_flight_requests").inc(-1.0)
+        _reference_observe(reference, route, status, nbytes, seconds)
+    assert to_openmetrics([("serve", registry)]) \
+        == to_openmetrics([("serve", reference)])
+    per_request = [name for name in created
+                   if name.startswith(("serve.requests_by_route.",
+                                       "serve.latency_ms."))]
+    assert sorted(per_request) == sorted(set(per_request))
+    assert len(per_request) == 5 + 4
 
 
 def test_slow_request_record_carries_span_tree():
