@@ -1,4 +1,4 @@
-"""Fleet-scale fast-path benchmark (``perf`` marker; not tier-1).
+"""Fleet fast-path benchmark (``perf`` marker; not tier-1).
 
 Runs the :mod:`repro.tools.bench` harness at the acceptance scale —
 a 50-device campaign — and writes ``BENCH_fleet.json`` at the repo
@@ -49,3 +49,5 @@ def test_fleet_fast_path_speedup():
     # The primitives behind the end-to-end number.
     assert results["sha256"]["speedup"] > 10
     assert results["ecdsa_verify"]["speedup"] > 1.5
+    # delta_generation is the median of passes spread across the run.
+    assert results["delta_generation"]["repeats"] == 4

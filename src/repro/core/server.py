@@ -130,31 +130,12 @@ class UpdateServer:
 
     def has_release(self, version: int) -> bool:
         """Whether ``version`` is published (the service layer's
-        channel-resolution check, cheaper than catching the
-        :class:`ManifestFormatError` from :meth:`release_content`)."""
+        channel-resolution check)."""
         return version in self._releases
 
     def announce(self) -> "dict[str, int]":
         """The advertisement pushed to proxies (step 3 of Fig. 2)."""
         return {"latest_version": self.latest_version}
-
-    def release_content(self, version: int) -> "tuple[bytes, bytes, bytes]":
-        """Identity-independent content of a published release.
-
-        Returns ``(image_digest, canonical_manifest, vendor_signature)``
-        — the firmware's SHA-256 (the manifest's digest field), the
-        canonical manifest bytes (token fields zeroed), and the vendor
-        signature over them.  These are the same for *every* device a
-        release is prepared for, which is what lets the fleet-scale
-        campaign stamp slot-digest columns and verify the vendor
-        signature once per wave instead of once per device.
-        """
-        release = self._releases.get(version)
-        if release is None:
-            raise ManifestFormatError("no published release %d" % version)
-        return (release.manifest.digest,
-                release.manifest.canonical_bytes(),
-                release.vendor_signature)
 
     # -- per-request image generation -------------------------------------------
 

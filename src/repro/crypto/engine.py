@@ -1,7 +1,7 @@
 """Pluggable crypto acceleration: the reference/fast engine switch.
 
 The from-scratch SHA-256 and P-256 implementations exist so the
-reproduction carries its own substrate — but they make fleet-scale
+reproduction carries its own substrate — but they make fleet
 simulation (thousands of double-signed updates) minutes-slow for no
 modeling benefit: the *cost models* in :mod:`repro.crypto.backends`
 are what the simulation accounts, not the host CPU time.  This module

@@ -13,8 +13,7 @@ Three value objects:
 
 * :class:`FaultDomain` — a named group of devices/links (region,
   gateway, cohort).  Membership is assignment-rule based
-  (:meth:`DomainPlan.domain_of`), never stored per device, so a
-  million-device fleet costs nothing extra.
+  (:meth:`DomainPlan.domain_of`), never stored per device.
 * :class:`DomainEvent` — one correlated event on the virtual clock:
   kind (``LINK_STORM`` / ``LOSS_FRONT`` / ``HERD_REBOOT`` /
   ``COORDINATOR_CRASH``), start time, duration, severity, and a
@@ -29,15 +28,11 @@ Three value objects:
 **Correlation mechanics.**  All members of one domain receive the
 *same* byte coordinates for one event (drawn once from the domain's
 RNG), which is exactly what makes the failure correlated rather than
-independent — and what keeps columnar cohort replication sound: a
-cohort mapped onto a domain shares its link schedule, so one hydrated
-representative still speaks for every member.
+independent.
 
-**Event-boundedness.**  Faults quantize to *attempt* granularity: an
-event applies to a device's update attempt when its (possibly swept)
-window contains the attempt's admit time.  Nothing polls the clock —
-a 100k-device correlated sweep stays bounded by scheduler events, not
-by time resolution.
+**Attempt granularity.**  An event applies to a device's update
+attempt when its (possibly swept) window contains the attempt's admit
+time.  Nothing polls the clock.
 """
 
 from __future__ import annotations

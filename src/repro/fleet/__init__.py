@@ -16,28 +16,11 @@ from .campaign import (
     DeviceState,
     RetryPolicy,
     RolloutPolicy,
-    drive_attempt,
-    finalize_failed,
-    post_mortem_phases,
-    transport_for,
 )
 from .journal import (
     CampaignJournal,
     CoordinatorKilled,
     JOURNAL_KINDS,
-)
-from .columnar import (
-    ColumnarFleet,
-    DeviceSpec,
-    ROW_DTYPE,
-)
-from .scale import (
-    ScaleCampaign,
-    ScaleReport,
-)
-from .scheduler import (
-    Event,
-    EventScheduler,
 )
 
 __all__ = [
@@ -48,24 +31,13 @@ __all__ = [
     "CampaignJournal",
     "CampaignReport",
     "CircuitBreaker",
-    "ColumnarFleet",
     "CoordinatorKilled",
     "Decision",
     "DeviceRecord",
-    "DeviceSpec",
     "DeviceState",
-    "Event",
-    "EventScheduler",
     "JOURNAL_KINDS",
-    "ROW_DTYPE",
     "RetryBudget",
     "RetryGovernor",
     "RetryPolicy",
     "RolloutPolicy",
-    "ScaleCampaign",
-    "ScaleReport",
-    "drive_attempt",
-    "finalize_failed",
-    "post_mortem_phases",
-    "transport_for",
 ]

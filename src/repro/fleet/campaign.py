@@ -32,8 +32,7 @@ from .budget import CAUTION_TRANSPORT_RETRY, RetryGovernor
 from .journal import CampaignJournal
 
 __all__ = ["DeviceRecord", "DeviceState", "RolloutPolicy", "RetryPolicy",
-           "CampaignReport", "Campaign", "transport_for", "drive_attempt",
-           "finalize_failed", "post_mortem_phases"]
+           "CampaignReport", "Campaign"]
 
 
 class DeviceState(enum.Enum):
@@ -197,58 +196,9 @@ class CampaignReport:
         }
 
 
-# -- the per-device driver ----------------------------------------------------
-#
-# One attempt of one device is the unit both campaign flavours share:
-# the hydrated `Campaign` loops attempts back-to-back inside
-# `_update_device`, while the columnar `ScaleCampaign` replays the same
-# sequence from discrete retry events.  Keeping the body here (and
-# calling it from both) is what makes the two paths byte-identical.
-
-
-def transport_for(record: DeviceRecord, server: UpdateServer,
-                  transport_retry: Optional[TransportRetryPolicy] = None):
-    """Build the per-attempt transport exactly as a campaign would."""
-    cls = PushTransport if record.transport == "push" else PullTransport
-    return cls(record.device, server,
-               interceptor=record.interceptor,
-               link=record.link, retry=transport_retry)
-
-
-def drive_attempt(server: UpdateServer, record: DeviceRecord, target: int,
-                  transport_retry: Optional[TransportRetryPolicy] = None
-                  ) -> UpdateOutcome:
-    """Run exactly one update attempt, mutating the record in place.
-
-    Sets :attr:`DeviceRecord.state` to ``UPDATED`` on success; a failed
-    attempt leaves the state untouched so the caller decides between a
-    retry, :func:`finalize_failed`, or its own policy.
-    """
-    record.attempts += 1
-    transport = transport_for(record, server, transport_retry)
-    outcome = transport.run_update()
-    record.last_outcome = outcome
-    record.interruptions += outcome.interruptions
-    if outcome.success and outcome.booted_version == target:
-        record.state = DeviceState.UPDATED
-    return outcome
-
-
-def finalize_failed(record: DeviceRecord,
-                    retry: Optional[RetryPolicy]) -> None:
-    """Close out a device whose retry budget is exhausted."""
-    if (retry is not None
-            and retry.quarantine_after is not None
-            and record.attempts >= retry.quarantine_after):
-        record.state = DeviceState.QUARANTINED
-    else:
-        record.state = DeviceState.FAILED
-
-
-def post_mortem_phases(record: DeviceRecord) -> Dict[str, int]:
+def _post_mortem_phases(record: DeviceRecord) -> Dict[str, int]:
     """Interruption counts per lifecycle phase from the device's black
-    box (the hydrated sample's ``interrupted_phases``).  Shared by both
-    campaign flavours and the campaign journal."""
+    box, as the campaign journal records them."""
     phases: Dict[str, int] = {}
     blackbox = getattr(record.device, "blackbox", None)
     if blackbox is not None:
@@ -680,7 +630,7 @@ class Campaign:
             update_seconds=(outcome.total_seconds if outcome else 0.0),
             bytes_over_air=(outcome.bytes_over_air if outcome else 0),
             energy_mj=(outcome.total_energy_mj if outcome else 0.0),
-            interrupted_phases=post_mortem_phases(record),
+            interrupted_phases=_post_mortem_phases(record),
             governor=self._governor_snapshot())
 
     def _governor_snapshot(self) -> Optional[Dict[str, object]]:
@@ -772,8 +722,7 @@ class Campaign:
                     # Probing a suspect domain: a short transport
                     # budget instead of the full resume siege.
                     attempt_retry = CAUTION_TRANSPORT_RETRY
-            last = drive_attempt(self.server, record, target,
-                                 attempt_retry)
+            last = self._drive_attempt(record, target, attempt_retry)
             if self.governor is not None:
                 self.governor.note_outcome(
                     domain, record.device.clock.now,
@@ -793,10 +742,34 @@ class Campaign:
                 # quarantined, not failed, so the storm cannot also
                 # trip the campaign's failure-rate abort.
                 record.state = DeviceState.QUARANTINED
+            elif (self.retry is not None
+                  and self.retry.quarantine_after is not None
+                  and record.attempts >= self.retry.quarantine_after):
+                record.state = DeviceState.QUARANTINED
             else:
-                finalize_failed(record, self.retry)
+                record.state = DeviceState.FAILED
         self._journal_outcome(record, last)
         return last
+
+    def _drive_attempt(self, record: DeviceRecord, target: int,
+                       transport_retry: Optional[TransportRetryPolicy]
+                       ) -> UpdateOutcome:
+        """Run exactly one update attempt, mutating the record in place.
+
+        Sets :attr:`DeviceRecord.state` to ``UPDATED`` on success; a
+        failed attempt leaves the state to the retry loop.
+        """
+        record.attempts += 1
+        cls = PushTransport if record.transport == "push" else PullTransport
+        transport = cls(record.device, self.server,
+                        interceptor=record.interceptor,
+                        link=record.link, retry=transport_retry)
+        outcome = transport.run_update()
+        record.last_outcome = outcome
+        record.interruptions += outcome.interruptions
+        if outcome.success and outcome.booted_version == target:
+            record.state = DeviceState.UPDATED
+        return outcome
 
     def _admit(self, domain: Optional[str], record: DeviceRecord,
                retry: bool):

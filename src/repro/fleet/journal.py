@@ -1,7 +1,7 @@
 """Crash-safe campaign durability: a CRC'd write-ahead journal.
 
 The update *coordinator* is itself a failure domain: if the process
-driving a million-device rollout dies mid-wave, the campaign must
+driving a rollout dies mid-wave, the campaign must
 resume without re-flashing devices that already updated or issuing a
 second token to anyone.  :class:`CampaignJournal` is the substrate —
 an append-only, CRC-32-framed record log of everything the campaign

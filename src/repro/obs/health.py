@@ -22,28 +22,10 @@ is deterministic — same samples, same report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-try:  # pragma: no cover - exercised by the no-numpy fallback path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["DeviceSample", "Anomaly", "HealthThresholds", "HealthReport",
-           "robust_zscores", "analyze_wave", "score_device",
-           "SAMPLE_STATE_CODES", "WaveArrays", "ColumnarHealth",
-           "robust_zscores_array", "analyze_wave_columnar"]
-
-#: Campaign state string -> columnar state code.  Must stay in sync
-#: with ``repro.fleet.columnar.STATE_CODES`` (that module imports the
-#: fleet enum; this one is string-keyed so obs never imports fleet).
-SAMPLE_STATE_CODES: Dict[str, int] = {
-    "pending": 0,
-    "updated": 1,
-    "failed": 2,
-    "skipped": 3,
-    "quarantined": 4,
-}
+           "robust_zscores", "analyze_wave", "score_device"]
 
 #: Scale factor making MAD consistent with the stddev of a normal
 #: distribution (the conventional 0.6745 = Φ⁻¹(0.75)).
@@ -291,208 +273,3 @@ def analyze_wave(samples: Sequence[DeviceSample],
         report.scores[sample.name] = score_device(
             sample, report.anomalies_for(sample.name))
     return report
-
-
-# -- columnar wave analysis ---------------------------------------------------
-#
-# The fleet-scale campaign keeps device state in numpy columns (see
-# repro.fleet.columnar) and cannot afford one DeviceSample object per
-# device.  The functions below run the same detectors over raw arrays
-# with *bit-identical* float semantics: reductions that the sample path
-# performs serially in python (the mean-abs fallback) stay serial
-# python sums, per-element arithmetic vectorises (IEEE ops round the
-# same scalar-by-scalar or array-wise), and medians/percentiles extract
-# python floats from sorted arrays before interpolating.  Device names
-# are materialised lazily — only for rows a detector actually flags.
-
-
-def _median_sorted(ordered: Any) -> float:
-    """Median of an already-sorted 1-D array, python-float arithmetic."""
-    mid = int(ordered.size) // 2
-    if ordered.size % 2:
-        return float(ordered[mid])
-    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
-
-
-def robust_zscores_array(values: Any) -> Any:
-    """Vectorised :func:`robust_zscores`; same bits, ndarray in/out."""
-    if _np is None:
-        raise RuntimeError("robust_zscores_array requires numpy")
-    if values.size < 4:
-        return _np.zeros(values.size, dtype=_np.float64)
-    center = _median_sorted(_np.sort(values))
-    deviations = _np.abs(values - center)
-    mad = _median_sorted(_np.sort(deviations))
-    if mad == 0.0:
-        # Mean-abs fallback: the sample path sums serially in python;
-        # np.sum is pairwise and rounds differently, so stay serial.
-        mad = sum(deviations.tolist()) / int(values.size)
-    if mad == 0.0:
-        return _np.zeros(values.size, dtype=_np.float64)
-    return _MAD_SCALE * (values - center) / mad
-
-
-@dataclass
-class WaveArrays:
-    """One wave's telemetry as aligned columns, not sample objects.
-
-    ``name_fn(position)`` resolves a row position (0..size-1, wave
-    order) to its device name on demand.  ``interrupted_phases`` is
-    sparse — only positions that were actually hydrated with a black
-    box (in practice: unique-cohort devices, the only ones that can be
-    interrupted) carry post-mortem phase counts.
-    """
-
-    wave: int
-    name_fn: Callable[[int], str]
-    states: Any            # uint8, SAMPLE_STATE_CODES values
-    update_seconds: Any    # float64
-    bytes_over_air: Any    # uint64
-    energy_mj: Any         # float64
-    interruptions: Any     # integer dtype
-    attempts: Any          # integer dtype
-    interrupted_phases: Dict[int, Dict[str, int]] = \
-        field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return int(self.states.size)
-
-    def state_mask(self, state: str) -> Any:
-        return self.states == SAMPLE_STATE_CODES[state]
-
-
-@dataclass
-class ColumnarHealth:
-    """:func:`analyze_wave_columnar`'s result bundle.
-
-    ``scores`` stays an array (it feeds the fleet's ``health`` column);
-    ``kinds_by_position`` indexes flagged rows without names so the
-    telemetry plane's quarantine pass never materialises the fleet.
-    """
-
-    report: HealthReport
-    scores: Any                              # float64, one per row
-    kinds_by_position: Dict[int, List[str]]
-
-
-def analyze_wave_columnar(arrays: WaveArrays,
-                          thresholds: Optional[HealthThresholds] = None,
-                          with_scores: bool = False) -> ColumnarHealth:
-    """Columnar :func:`analyze_wave`: same detectors, same verdicts.
-
-    The one intentional difference: crash-loop detection reads the
-    sparse ``interrupted_phases`` map, so only hydrated rows can be
-    flagged — which is exact, because a device that was never hydrated
-    has no link to interrupt it.  ``with_scores=True`` additionally
-    fills ``report.scores`` by name (small fleets / parity tests only;
-    a million-row wave should read :attr:`ColumnarHealth.scores`).
-    """
-    if _np is None:
-        raise RuntimeError("analyze_wave_columnar requires numpy")
-    thresholds = thresholds or HealthThresholds()
-    report = HealthReport(wave=arrays.wave)
-    n = arrays.size
-    empty = ColumnarHealth(report=report,
-                           scores=_np.zeros(0, dtype=_np.float64),
-                           kinds_by_position={})
-    if n == 0:
-        return empty
-    kinds_by_position: Dict[int, List[str]] = {}
-    names: Dict[int, str] = {}
-
-    def flag(position: int, kind: str, severity: float,
-             detail: str) -> None:
-        name = names.get(position)
-        if name is None:
-            name = names[position] = arrays.name_fn(position)
-        kinds = kinds_by_position.setdefault(position, [])
-        if kind not in kinds:
-            kinds.append(kind)
-        report.anomalies.append(Anomaly(
-            kind=kind, device=name, severity=severity, detail=detail))
-
-    # -- stragglers: robust z on per-kB transfer latency ------------------
-    transferred = _np.flatnonzero(arrays.bytes_over_air > 0)
-    latencies = (arrays.update_seconds[transferred]
-                 / (arrays.bytes_over_air[transferred] / 1024.0))
-    zscores = robust_zscores_array(latencies)
-    latency_median = (_median_sorted(_np.sort(latencies))
-                      if latencies.size else 0.0)
-    for slot in _np.flatnonzero(zscores > thresholds.straggler_z):
-        position = int(transferred[slot])
-        z = float(zscores[slot])
-        flag(position, "straggler", z,
-             "%.3f s/kB vs fleet median %.3f s/kB (z=%.1f)"
-             % (float(latencies[slot]), latency_median, z))
-
-    # -- retry storms: per-device and fleet-wide --------------------------
-    stormy = _np.flatnonzero(
-        arrays.interruptions >= thresholds.device_interruptions)
-    for position in stormy:
-        position = int(position)
-        flag(position, "retry-storm",
-             float(int(arrays.interruptions[position])),
-             "%d transfer interruptions over %d attempt(s)"
-             % (int(arrays.interruptions[position]),
-                int(arrays.attempts[position])))
-    mean_interruptions = (
-        int(arrays.interruptions.sum(dtype=_np.int64)) / n)
-    if mean_interruptions >= thresholds.fleet_interruptions_per_device:
-        report.anomalies.append(Anomaly(
-            kind="retry-storm", device=None,
-            severity=mean_interruptions,
-            detail="fleet-wide storm: %.2f interruptions/device"
-                   % mean_interruptions))
-
-    # -- energy outliers: absolute budget, then robust z ------------------
-    energies = arrays.energy_mj[transferred]
-    budget = thresholds.energy_budget_mj
-    energy_z = robust_zscores_array(energies)
-    energy_median = (_median_sorted(_np.sort(energies))
-                     if energies.size else 0.0)
-    over = energy_z > thresholds.energy_z
-    if budget is not None:
-        over = over | (energies > budget)
-    for slot in _np.flatnonzero(over):
-        position = int(transferred[slot])
-        energy = float(energies[slot])
-        z = float(energy_z[slot])
-        over_budget = budget is not None and energy > budget
-        detail = ("%.1f mJ exceeds budget %.1f mJ" % (energy, budget)
-                  if over_budget
-                  else "%.1f mJ vs fleet median %.1f mJ (z=%.1f)"
-                  % (energy, energy_median, z))
-        flag(position, "energy-outlier",
-             energy if over_budget else z, detail)
-
-    # -- crash loops: the same phase interrupted repeatedly ---------------
-    for position in sorted(arrays.interrupted_phases):
-        for phase, count in sorted(
-                arrays.interrupted_phases[position].items()):
-            if count >= thresholds.repeated_phase_count:
-                flag(position, "crash-loop", float(count),
-                     "phase %r interrupted %d times" % (phase, count))
-
-    # -- scores, vectorised -----------------------------------------------
-    scores = _np.full(n, 100.0, dtype=_np.float64)
-    penalty = _np.zeros(n, dtype=_np.float64)
-    penalty[arrays.state_mask("failed")] = 50.0
-    penalty[arrays.state_mask("quarantined")] = 70.0
-    penalty[arrays.state_mask("skipped")
-            | arrays.state_mask("pending")] = 10.0
-    scores -= penalty
-    scores -= _np.minimum(
-        30.0, 10.0 * arrays.interruptions.astype(_np.float64))
-    extra_attempts = _np.maximum(
-        0, arrays.attempts.astype(_np.int64) - 1)
-    scores -= _np.minimum(10.0, 5.0 * extra_attempts.astype(_np.float64))
-    for position, kinds in kinds_by_position.items():
-        scores[position] -= 15.0 * len(kinds)
-    scores = _np.round(_np.maximum(0.0, scores), 1)
-    if with_scores:
-        for position in range(n):
-            name = names.get(position) or arrays.name_fn(position)
-            report.scores[name] = float(scores[position])
-    return ColumnarHealth(report=report, scores=scores,
-                          kinds_by_position=kinds_by_position)

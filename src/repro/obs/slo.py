@@ -37,19 +37,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
     Sequence, Tuple
 
-from .health import ColumnarHealth, DeviceSample, HealthReport, \
-    HealthThresholds, SAMPLE_STATE_CODES, WaveArrays, analyze_wave, \
-    analyze_wave_columnar
+from .health import DeviceSample, HealthReport, HealthThresholds, \
+    analyze_wave
 from .timeseries import FleetScraper, TimeSeriesStore
 
-try:  # pragma: no cover - exercised by the no-numpy fallback path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["Action", "SLO", "SLOBreach", "WaveVerdict", "FleetTelemetry",
-           "percentile", "fleet_metric", "FLEET_METRICS", "DEFAULT_SLOS",
-           "fleet_metric_columnar", "FLEET_METRICS_COLUMNAR"]
+           "percentile", "fleet_metric", "FLEET_METRICS", "DEFAULT_SLOS"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -143,95 +136,6 @@ def fleet_metric(name: str,
             from None
 
 
-# -- columnar fleet metrics ---------------------------------------------------
-#
-# Array-shaped twins of FLEET_METRICS, bit-identical by construction:
-# percentiles sort the same IEEE doubles and interpolate with python
-# floats, counts are exact integers, and sums of integer columns are
-# associative.  The fleet-scale campaign evaluates SLOs over a wave's
-# columns without building one DeviceSample per device.
-
-
-def _percentile_sorted(ordered: Any, q: float) -> float:
-    """:func:`percentile` over an already-sorted ndarray."""
-    n = int(ordered.size)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (n - 1)
-    low = int(rank)
-    high = min(low + 1, n - 1)
-    fraction = rank - low
-    return (float(ordered[low])
-            + (float(ordered[high]) - float(ordered[low])) * fraction)
-
-
-def _completed_mask(arrays: WaveArrays) -> Any:
-    return ((arrays.bytes_over_air > 0)
-            & (arrays.states != SAMPLE_STATE_CODES["quarantined"]))
-
-
-def _completed_seconds(arrays: WaveArrays) -> Any:
-    return _np.sort(arrays.update_seconds[_completed_mask(arrays)])
-
-
-def _completed_energy(arrays: WaveArrays) -> Any:
-    return _np.sort(arrays.energy_mj[_completed_mask(arrays)])
-
-
-def _failure_rate_columnar(arrays: WaveArrays) -> Optional[float]:
-    updated = int(arrays.state_mask("updated").sum())
-    failed = int(arrays.state_mask("failed").sum())
-    done = updated + failed  # quarantined: in neither term, by design
-    return failed / done if done else None
-
-
-def _percentile_metric(selector: Callable[[WaveArrays], Any],
-                       q: float) -> Callable[[WaveArrays],
-                                             Optional[float]]:
-    def metric(arrays: WaveArrays) -> Optional[float]:
-        ordered = selector(arrays)
-        return _percentile_sorted(ordered, q) if ordered.size else None
-    return metric
-
-
-#: Fleet metric name -> function(WaveArrays) -> Optional[float].
-FLEET_METRICS_COLUMNAR: Dict[str, Callable[[WaveArrays],
-                                           Optional[float]]] = {
-    "p50_update_seconds": _percentile_metric(_completed_seconds, 50.0),
-    "p95_update_seconds": _percentile_metric(_completed_seconds, 95.0),
-    "max_update_seconds":
-        lambda a: (float(_np.max(a.update_seconds[_completed_mask(a)]))
-                   if _completed_mask(a).any() else None),
-    "failure_rate": _failure_rate_columnar,
-    "quarantine_rate":
-        lambda a: (int(a.state_mask("quarantined").sum()) / a.size
-                   if a.size else None),
-    "max_energy_mj":
-        lambda a: (float(_np.max(a.energy_mj[_completed_mask(a)]))
-                   if _completed_mask(a).any() else None),
-    "p95_energy_mj": _percentile_metric(_completed_energy, 95.0),
-    "interruptions_per_device":
-        lambda a: (int(a.interruptions.sum(dtype=_np.int64)) / a.size
-                   if a.size else None),
-}
-
-
-def fleet_metric_columnar(name: str,
-                          arrays: WaveArrays) -> Optional[float]:
-    """Columnar twin of :func:`fleet_metric`."""
-    if _np is None:
-        raise RuntimeError("fleet_metric_columnar requires numpy")
-    try:
-        return FLEET_METRICS_COLUMNAR[name](arrays)
-    except KeyError:
-        raise KeyError(
-            "unknown fleet metric %r (have: %s)"
-            % (name, ", ".join(sorted(FLEET_METRICS_COLUMNAR)))) \
-            from None
-
-
 @dataclass(frozen=True)
 class SLO:
     """One declarative objective: ``metric`` must stay <= ``threshold``.
@@ -258,16 +162,6 @@ class SLO:
     def evaluate(self, samples: Sequence[DeviceSample],
                  wave: int) -> Optional["SLOBreach"]:
         observed = fleet_metric(self.metric, samples)
-        return self._breach(observed, wave)
-
-    def evaluate_arrays(self, arrays: WaveArrays,
-                        wave: int) -> Optional["SLOBreach"]:
-        """Columnar twin of :meth:`evaluate` (same breach, same bits)."""
-        return self._breach(fleet_metric_columnar(self.metric, arrays),
-                            wave)
-
-    def _breach(self, observed: Optional[float],
-                wave: int) -> Optional["SLOBreach"]:
         if observed is None or observed <= self.threshold:
             return None
         return SLOBreach(name=self.name, metric=self.metric,
@@ -443,61 +337,6 @@ class FleetTelemetry:
                               metrics=metrics)
         self.verdicts.append(verdict)
         return verdict
-
-    def close_wave_arrays(self, arrays: WaveArrays, t: float = 0.0,
-                          with_scores: bool = False
-                          ) -> Tuple[WaveVerdict, ColumnarHealth]:
-        """Columnar :meth:`close_wave` for the fleet-scale campaign.
-
-        Identical decision sequence — health detectors, quarantine
-        re-labelling *before* SLO evaluation, escalation, fleet-series
-        recording — over one wave's columns.  Mutates
-        ``arrays.states`` in place for quarantined rows (the caller's
-        columnar store sees the re-filing, exactly as the hydrated
-        campaign sees mutated samples).  Returns the verdict plus the
-        :class:`~repro.obs.health.ColumnarHealth` bundle whose
-        ``scores`` array feeds the fleet's health column.
-        """
-        if _np is None:
-            raise RuntimeError("close_wave_arrays requires numpy")
-        wave = arrays.wave
-        columnar = analyze_wave_columnar(arrays, self.thresholds,
-                                         with_scores=with_scores)
-        health = columnar.report
-        failed_code = SAMPLE_STATE_CODES["failed"]
-        quarantine_positions = [
-            position for position in sorted(columnar.kinds_by_position)
-            if int(arrays.states[position]) == failed_code
-            and any(kind in self.quarantine_kinds
-                    for kind in columnar.kinds_by_position[position])
-        ]
-        quarantine = [arrays.name_fn(position)
-                      for position in quarantine_positions]
-        if quarantine_positions:
-            arrays.states[_np.asarray(quarantine_positions)] = \
-                SAMPLE_STATE_CODES["quarantined"]
-
-        breaches = []
-        action = Action.CONTINUE
-        for slo in self.slos:
-            breach = slo.evaluate_arrays(arrays, wave)
-            if breach is not None:
-                breaches.append(breach)
-                action = _escalate(action, breach.action)
-
-        metrics = {name: fleet_metric_columnar(name, arrays)
-                   for name in sorted(FLEET_METRICS_COLUMNAR)}
-        for name, value in metrics.items():
-            if value is not None:
-                self.store.record("fleet.%s" % name, t, value)
-        self.store.record("fleet.anomalies", t,
-                          len(health.anomalies))
-
-        verdict = WaveVerdict(wave=wave, action=action, health=health,
-                              breaches=breaches, quarantine=quarantine,
-                              metrics=metrics)
-        self.verdicts.append(verdict)
-        return verdict, columnar
 
     # -- reporting -----------------------------------------------------------
 

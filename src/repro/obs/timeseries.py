@@ -29,7 +29,7 @@ __all__ = ["Point", "Series", "TimeSeriesStore", "FleetScraper",
            "DEFAULT_MAX_POINTS"]
 
 #: Default per-series bound.  Must be even (pairwise downsampling) and
-#: small enough that a million-device campaign's store stays flat.
+#: small enough that a long campaign's store stays flat.
 DEFAULT_MAX_POINTS = 256
 
 

@@ -1,7 +1,6 @@
-"""Fleet-scale performance benchmark harness.
+"""Fleet performance benchmark harness.
 
-Measures the hot path the ROADMAP's "millions of devices" north star
-depends on, under both crypto engines:
+Measures the fleet plane's hot path under both crypto engines:
 
 * SHA-256 throughput (MB/s) — reference (from-scratch) vs. fast
   (hashlib) engine;
@@ -9,14 +8,13 @@ depends on, under both crypto engines:
   fixed-window precomputed tables (distinct digests, so the
   verification cache is *not* what is being measured);
 * delta generation time — bsdiff + LZSS over a firmware pair (engine
-  independent, but it gates campaign start-up), the median of
-  :data:`DELTA_REPEATS` runs so one cold pass cannot trip the gate;
+  independent, but it gates campaign start-up), the median of passes
+  spread across the bench run so one slow host phase cannot trip the
+  gate;
 * end-to-end campaign throughput (devices/s) on a seeded fleet, for
   the seed path (reference engine) and the fast engine — asserting
   along the way that both produce the *identical*
-  :class:`~repro.fleet.campaign.CampaignReport`;
-* a columnar :class:`~repro.fleet.ScaleCampaign` at fleet scale
-  (``fleet_scale``), cross-checked against the hydrated path.
+  :class:`~repro.fleet.campaign.CampaignReport`.
 
 Results are written to ``BENCH_fleet.json`` (repo root by convention)
 so subsequent PRs can track the trajectory::
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core import (
     DeviceProfile,
@@ -56,14 +54,7 @@ from ..delta import bsdiff as _bsdiff_mod
 from ..delta import suffix as _suffix_mod
 from ..compression import compress as lzss_compress, decompress as lzss_decompress
 from ..compression import lzss as _lzss_mod
-from ..fleet import (
-    Campaign,
-    ColumnarFleet,
-    DeviceRecord,
-    DeviceSpec,
-    RolloutPolicy,
-    ScaleCampaign,
-)
+from ..fleet import Campaign, DeviceRecord, RolloutPolicy
 from ..memory import MemoryLayout
 from ..obs import MetricsRegistry, bind_engine, bind_server
 from ..platform import NRF52840, ZEPHYR
@@ -77,7 +68,6 @@ __all__ = [
     "bench_delta",
     "bench_delta_fastpath",
     "bench_campaign",
-    "bench_fleet_scale",
     "run_all",
     "run_delta",
     "write_results",
@@ -85,8 +75,6 @@ __all__ = [
     "compare_to_baseline",
     "GATE_METRICS",
     "DELTA_GATE_METRICS",
-    "FLEET_SCALE_HIGHER_IS_BETTER",
-    "FLEET_SCALE_LOWER_IS_BETTER",
     "SERVER_GATE_HIGHER_IS_BETTER",
     "SERVER_GATE_LOWER_IS_BETTER",
     "SERVER_WORKLOAD_KEYS",
@@ -159,36 +147,52 @@ def bench_verify(reference_iterations: int = 20,
     return results
 
 
-#: Runs behind each ``delta_generation`` timing: one pass is ~0.13 s
-#: and a single cold one swung +26% between identical runs.
-DELTA_REPEATS = 5
-
-
-def bench_delta(image_size: int = 48 * 1024) -> Dict[str, float]:
-    """bsdiff + LZSS generation time for one firmware pair: the median
-    of :data:`DELTA_REPEATS` runs, per timing."""
+def _delta_pair(image_size: int) -> Tuple[bytes, bytes]:
+    """The seeded firmware pair every delta benchmark diffs."""
     generator = FirmwareGenerator(seed=b"bench-delta")
     old = generator.firmware(image_size, image_id=1)
-    new = generator.os_version_change(old, revision=2)
-    diff_runs, compress_runs, total_runs = [], [], []
-    for _ in range(DELTA_REPEATS):
-        start = time.perf_counter()
-        patch = bsdiff_diff(old, new)
-        diff_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        delta = lzss_compress(patch)
-        compress_seconds = time.perf_counter() - start
-        diff_runs.append(diff_seconds)
-        compress_runs.append(compress_seconds)
-        total_runs.append(diff_seconds + compress_seconds)
+    return old, generator.os_version_change(old, revision=2)
+
+
+def _time_delta(old: bytes,
+                new: bytes) -> Tuple[bytes, bytes, float, float]:
+    """One timed bsdiff + LZSS pass: ``(patch, delta, bsdiff s, lzss s)``."""
+    start = time.perf_counter()
+    patch = bsdiff_diff(old, new)
+    diff_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    delta = lzss_compress(patch)
+    compress_seconds = time.perf_counter() - start
+    return patch, delta, diff_seconds, compress_seconds
+
+
+#: Firmware size of the ``delta_generation`` section.
+DELTA_IMAGE_BYTES = 48 * 1024
+
+
+def bench_delta(image_size: int = DELTA_IMAGE_BYTES,
+                earlier_runs: Sequence[Tuple[float, float]] = ()
+                ) -> Dict[str, object]:
+    """bsdiff + LZSS generation time for one firmware pair.
+
+    ``earlier_runs`` are ``(bsdiff, lzss)`` timings of the same pair
+    taken earlier in the bench run; each reported timing is the median
+    of those and this call's own pass.
+    """
+    patch, delta, diff_seconds, compress_seconds = _time_delta(
+        *_delta_pair(image_size))
+    runs = list(earlier_runs) + [(diff_seconds, compress_seconds)]
     return {
         "firmware_bytes": image_size,
         "patch_bytes": len(patch),
         "delta_bytes": len(delta),
-        "repeats": DELTA_REPEATS,
-        "bsdiff_seconds": round(statistics.median(diff_runs), 4),
-        "lzss_seconds": round(statistics.median(compress_runs), 4),
-        "total_seconds": round(statistics.median(total_runs), 4),
+        "repeats": len(runs),
+        "bsdiff_seconds": round(
+            statistics.median(diff for diff, _ in runs), 4),
+        "lzss_seconds": round(
+            statistics.median(lzss for _, lzss in runs), 4),
+        "total_seconds": round(
+            statistics.median(diff + lzss for diff, lzss in runs), 4),
     }
 
 
@@ -209,33 +213,22 @@ def bench_delta_fastpath(image_size: int = 96 * 1024) -> Dict[str, object]:
     slow side, and noise on the slow side only *understates* the
     speedup.
     """
-    generator = FirmwareGenerator(seed=b"bench-delta")
-    old = generator.firmware(image_size, image_id=1)
-    new = generator.os_version_change(old, revision=2)
-
-    def run_pair() -> "tuple[bytes, bytes, float, float]":
-        start = time.perf_counter()
-        patch_bytes = bsdiff_diff(old, new)
-        diff_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        delta = lzss_compress(patch_bytes)
-        compress_seconds = time.perf_counter() - start
-        return patch_bytes, delta, diff_seconds, compress_seconds
+    old, new = _delta_pair(image_size)
 
     saved = (_suffix_mod._np, _bsdiff_mod._np, _lzss_mod._np)
     try:
         _suffix_mod._np = None
         _bsdiff_mod._np = None
         _lzss_mod._np = None
-        ref_patch, ref_delta, ref_diff_s, ref_comp_s = run_pair()
+        ref_patch, ref_delta, ref_diff_s, ref_comp_s = _time_delta(old, new)
     finally:
         _suffix_mod._np, _bsdiff_mod._np, _lzss_mod._np = saved
 
-    run_pair()  # warm-up
+    _time_delta(old, new)  # warm-up
     fast_patch = fast_delta = b""
     fast_diff_s = fast_comp_s = float("inf")
     for _ in range(3):
-        patch_bytes, delta, diff_s, comp_s = run_pair()
+        patch_bytes, delta, diff_s, comp_s = _time_delta(old, new)
         if diff_s + comp_s < fast_diff_s + fast_comp_s:
             fast_patch, fast_delta = patch_bytes, delta
             fast_diff_s, fast_comp_s = diff_s, comp_s
@@ -311,136 +304,6 @@ def _build_campaign(device_count: int, image_size: int,
                     metrics=metrics)
 
 
-def _build_scale_campaign(device_count: int,
-                          image_size: int) -> ScaleCampaign:
-    """The same seeded workload as :func:`_build_campaign`, columnar.
-
-    Fleet membership is a :class:`~repro.fleet.ColumnarFleet` (one row
-    per device); the hydrator provisions lazily against a server view
-    where v1 is still the latest release, so a device materialised
-    after v2 ships factory-installs the identical v1 image the
-    hydrated path provisioned up front (envelope signatures are
-    deterministic and content-addressed).
-    """
-    generator = FirmwareGenerator(seed=b"bench-campaign")
-    fw_v1 = generator.firmware(image_size, image_id=1)
-    fw_v2 = generator.os_version_change(fw_v1, revision=2)
-    vendor_id, server_id, anchors = make_test_identities()
-    vendor = VendorServer(vendor_id, app_id=APP_ID,
-                          link_offset=LINK_OFFSET)
-    release_v1 = vendor.release(fw_v1, 1)
-    server = UpdateServer(server_id)
-    server.publish(release_v1)
-    provisioning = UpdateServer(server_id)
-    provisioning.publish(release_v1)
-    server.publish(vendor.release(fw_v2, 2))
-
-    def spec_fn(index: int) -> DeviceSpec:
-        return DeviceSpec(name="bench-%03d" % index,
-                          device_id=0x4000 + index,
-                          transport="pull" if index % 2 else "push")
-
-    def hydrator(spec: DeviceSpec) -> DeviceRecord:
-        internal = NRF52840.make_internal_flash()
-        layout = MemoryLayout.configuration_a(internal, 128 * 1024)
-        profile = DeviceProfile(device_id=spec.device_id, app_id=APP_ID,
-                                link_offset=LINK_OFFSET)
-        device = SimulatedDevice(
-            board=NRF52840, os_profile=ZEPHYR, layout=layout,
-            profile=profile, anchors=anchors,
-        )
-        provision_device(provisioning, layout.get("a"), spec.device_id)
-        return DeviceRecord(name=spec.name, device=device,
-                            transport=spec.transport)
-
-    fleet = ColumnarFleet(device_count, spec_fn, baseline_version=1)
-    return ScaleCampaign(server, fleet, hydrator,
-                         RolloutPolicy(canary_fraction=0.1),
-                         anchors=anchors)
-
-
-def _sampled_parity(sample_devices: int, image_size: int) -> bool:
-    """Hydrated vs. columnar cross-check on a small sampled fleet.
-
-    Runs the same seeded workload through both campaign flavours and
-    requires the materialised :class:`CampaignReport` *and* every
-    per-device entry to be byte-identical.  Raises on divergence —
-    a fleet-scale artifact must never ship numbers from a path that
-    disagrees with the reference implementation.
-    """
-    from ..fleet import ScaleReport
-
-    with use_engine("fast") as engine:
-        engine.clear_caches()
-        hydrated = _build_campaign(sample_devices, image_size)
-        hydrated_report = hydrated.run()
-        engine.clear_caches()
-        scale = _build_scale_campaign(sample_devices, image_size)
-        scale_report = scale.run()
-    if (scale_report.to_campaign_report().to_dict()
-            != hydrated_report.to_dict()):
-        raise AssertionError(
-            "columnar campaign report diverged from the hydrated path")
-    for index, record in enumerate(hydrated.fleet):
-        if (scale_report.device_entry(index)
-                != ScaleReport.record_entry(record)):
-            raise AssertionError(
-                "columnar device entry %d diverged from the hydrated "
-                "record" % index)
-    return True
-
-
-def _run_fleet_scale(device_count: int, image_size: int
-                     ) -> Tuple[float, Dict[str, object]]:
-    """One timed columnar campaign: ``(seconds, report summary)``."""
-    campaign = _build_scale_campaign(device_count, image_size)
-    with use_engine("fast") as engine:
-        engine.clear_caches()
-        start = time.perf_counter()
-        report = campaign.run()
-        elapsed = time.perf_counter() - start
-    summary = report.summary()
-    if summary["updated"] != device_count or summary["aborted"]:
-        raise AssertionError(
-            "fleet-scale campaign did not fully succeed: %r" % summary)
-    return elapsed, summary
-
-
-def bench_fleet_scale(device_count: int = 10_000,
-                      image_size: int = 24 * 1024,
-                      sample_devices: int = 20,
-                      earlier_runs: Sequence[float] = ()
-                      ) -> Dict[str, object]:
-    """Columnar campaign throughput and memory-per-device tracking.
-
-    Runs a :class:`~repro.fleet.ScaleCampaign` over ``device_count``
-    columnar rows (hydrating only cohort representatives), recording
-    devices/s, peak RSS (``resource.getrusage``) and columnar
-    bytes/row.  ``earlier_runs`` are timings of the same campaign taken
-    earlier in the bench run; devices/s comes from the median of those
-    and this call's own run.  A ``sample_devices``-sized
-    hydrated-vs-columnar parity cross-check runs first and the artifact
-    records its verdict.
-    """
-    import resource
-
-    parity = _sampled_parity(sample_devices, image_size)
-    elapsed, summary = _run_fleet_scale(device_count, image_size)
-    runs = list(earlier_runs) + [elapsed]
-    seconds = statistics.median(runs)
-    peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    summary.update({
-        "image_bytes": image_size,
-        "repeats": len(runs),
-        "scale_seconds": round(seconds, 3),
-        "devices_per_s": round(device_count / seconds, 1),
-        "peak_rss_kb": peak_rss_kb,
-        "sampled_parity": parity,
-        "sample_devices": sample_devices,
-    })
-    return summary
-
-
 def bench_campaign(device_count: int = 50,
                    image_size: int = 24 * 1024) -> Dict[str, object]:
     """End-to-end campaign throughput per crypto engine.
@@ -504,46 +367,37 @@ def bench_campaign(device_count: int = 50,
 # -- harness ----------------------------------------------------------------
 
 
-def run_all(device_count: int = 50, image_size: int = 24 * 1024,
-            scale_devices: Optional[int] = None) -> Dict[str, object]:
-    """Run every benchmark; returns the JSON-ready result document.
-
-    ``scale_devices`` sizes the columnar ``fleet_scale`` section; the
-    hydrated engine-comparison campaigns stay capped at
-    ``device_count`` (hydrating a million full simulators is exactly
-    what the columnar path exists to avoid).
-    """
+def run_all(device_count: int = 50,
+            image_size: int = 24 * 1024) -> Dict[str, object]:
+    """Run every benchmark; returns the JSON-ready result document."""
     previous = get_engine().name
-    scale_devices = scale_devices or max(device_count, 10_000)
-    # One fleet-scale run is ~0.16 s, and the host's speed drifts over
-    # a bench run: a single timing read -27% on one of six fresh runs,
-    # while every section moved with the same phase.  So the columnar
-    # campaign is timed after each other section and once more at the
-    # end, and ``fleet_scale`` reports the median of the five.
-    scale_runs: List[float] = []
+    # One delta pass is ~0.14 s, and the host's speed drifts over a
+    # bench run: five back-to-back passes read +28-37% on four of six
+    # fresh runs.  So one pass is timed after each other section, and
+    # ``delta_generation`` reports the median of those and its own.
+    delta_pair = _delta_pair(DELTA_IMAGE_BYTES)
+    delta_runs: List[Tuple[float, float]] = []
 
-    def then_time_scale(section: Callable[[], Dict[str, object]]
+    def then_time_delta(section: Callable[[], Dict[str, object]]
                         ) -> Dict[str, object]:
         value = section()
-        scale_runs.append(_run_fleet_scale(scale_devices, image_size)[0])
+        delta_runs.append(_time_delta(*delta_pair)[2:])
         return value
 
-    campaign = then_time_scale(
+    campaign = then_time_delta(
         lambda: bench_campaign(device_count, image_size))
     results = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "host": host_info(),
-        "sha256": then_time_scale(bench_sha256),
-        "ecdsa_verify": then_time_scale(bench_verify),
-        "delta_generation": then_time_scale(bench_delta),
+        "sha256": then_time_delta(bench_sha256),
+        "ecdsa_verify": then_time_delta(bench_verify),
+        "delta_generation": bench_delta(earlier_runs=delta_runs),
         # Engine/server telemetry lives top-level so the schema
         # validator can insist on it without digging into the campaign.
         "crypto_stats": campaign.pop("crypto_stats"),
         "server_stats": campaign.pop("server_stats"),
         "metrics": campaign.pop("metrics"),
         "campaign": campaign,
-        "fleet_scale": bench_fleet_scale(scale_devices, image_size,
-                                         earlier_runs=scale_runs),
     }
     assert get_engine().name == previous, "bench must not leak engine state"
     return results
@@ -576,14 +430,6 @@ GATE_METRICS = ("reference_serial_seconds", "fast_serial_seconds")
 #: Delta-generation wall-clock metrics, gated only when both artifacts
 #: carry a ``delta_generation`` section.
 DELTA_GATE_METRICS = ("bsdiff_seconds", "lzss_seconds", "total_seconds")
-
-#: Fleet-scale gate: throughput must not *drop* more than the
-#: tolerance (higher is better, so the comparison is inverted), and
-#: peak RSS must not *grow* more than it.  Gated only when both
-#: artifacts carry a ``fleet_scale`` section (schema v3 baselines
-#: predate it).
-FLEET_SCALE_HIGHER_IS_BETTER = ("devices_per_s",)
-FLEET_SCALE_LOWER_IS_BETTER = ("peak_rss_kb",)
 
 #: Swarm-bench (``server`` section, bench schema v5) gate: session
 #: p99 and peak RSS must not grow past tolerance, and request
@@ -663,37 +509,6 @@ def compare_to_baseline(results: Dict[str, object],
             _gate_section(problems, cur_delta, base_delta,
                           DELTA_GATE_METRICS, tolerance,
                           prefix="delta_generation ")
-    cur_scale = results.get("fleet_scale")
-    base_scale = baseline.get("fleet_scale")
-    if isinstance(cur_scale, dict) and isinstance(base_scale, dict):
-        for key in ("devices", "image_bytes"):
-            if cur_scale.get(key) != base_scale.get(key):
-                problems.append(
-                    "fleet_scale baseline ran %s=%r but this run used %r — "
-                    "regenerate the baseline for this workload"
-                    % (key, base_scale.get(key), cur_scale.get(key)))
-                break
-        else:
-            _gate_section(problems, cur_scale, base_scale,
-                          FLEET_SCALE_LOWER_IS_BETTER, tolerance,
-                          prefix="fleet_scale ")
-            for metric in FLEET_SCALE_HIGHER_IS_BETTER:
-                old = base_scale.get(metric)
-                new = cur_scale.get(metric)
-                if not isinstance(old, (int, float)) or old <= 0:
-                    problems.append(
-                        "baseline has no usable fleet_scale %r" % metric)
-                    continue
-                if not isinstance(new, (int, float)):
-                    problems.append(
-                        "this run produced no fleet_scale %r" % metric)
-                    continue
-                if new < old * (1.0 - tolerance):
-                    problems.append(
-                        "fleet_scale %s regressed: %.1f vs baseline %.1f "
-                        "(-%.0f%%, tolerance %.0f%%)"
-                        % (metric, new, old, 100.0 * (old - new) / old,
-                           100.0 * tolerance))
     cur_server = results.get("server")
     base_server = baseline.get("server")
     if isinstance(cur_server, dict) and isinstance(base_server, dict):
@@ -818,15 +633,6 @@ def format_summary(results: Dict[str, object]) -> str:
         % (camp["reference_serial_devices_per_s"],
            camp["fast_serial_devices_per_s"], camp["speedup"]),
     ]
-    scale = results.get("fleet_scale")
-    if isinstance(scale, dict):
-        lines.append(
-            "fleet scale  : %d devices in %.2f s (%.0f devices/s, "
-            "%d hydrations, %d B/row, rss %.1f MB)"
-            % (scale["devices"], scale["scale_seconds"],
-               scale["devices_per_s"], scale["hydrations"],
-               scale["columnar_bytes_per_row"],
-               scale["peak_rss_kb"] / 1024.0))
     return "\n".join(lines)
 
 

@@ -583,7 +583,7 @@ KILL_POINTS: Tuple[Optional[str], ...] = (None, "early", "mid")
 
 #: Every correlated event covers the whole campaign window.  Admit
 #: times then never gate activation, which is what keeps the sweep
-#: comparable across fleet sizes (and the columnar parity tests sound).
+#: comparable across fleet sizes.
 _EVENT_DURATION = 3600.0
 
 #: Transport resume budget during correlated runs.  Deliberately

@@ -254,28 +254,20 @@ def cmd_import_suit(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the fleet-scale performance harness; write BENCH_fleet.json.
+    """Run the fleet performance harness; write BENCH_fleet.json.
 
     With ``--baseline``, gate the fresh run against a previous bench
     artifact: exit status 1 when any engine configuration's campaign
-    wall-clock regressed by more than ``--tolerance`` (default +20 %),
-    or when the columnar ``fleet_scale`` section lost more than the
-    tolerance in devices/s or gained it in peak RSS.  ``--delta-out``
-    additionally runs the delta fast-path benchmark and writes its
-    artifact (BENCH_delta.json by convention).
-
-    ``--devices`` sizes the columnar fleet-scale campaign; the hydrated
-    engine-comparison campaigns are capped at 200 devices (hydrating
-    a million full simulators is what the columnar path exists to
-    avoid), so ``upkit bench --devices 1000000`` is a bounded-memory
-    million-device run.
+    wall-clock, or a ``delta_generation`` timing, regressed by more
+    than ``--tolerance`` (default +20 %).  ``--delta-out`` additionally
+    runs the delta fast-path benchmark and writes its artifact
+    (BENCH_delta.json by convention).  ``--devices`` sizes the
+    campaigns both engines run.
     """
     from . import bench, report as report_mod
 
-    hydrated = min(args.devices or 50, 200)
-    results = bench.run_all(device_count=hydrated,
-                            image_size=args.image_size,
-                            scale_devices=args.devices)
+    results = bench.run_all(device_count=args.devices,
+                            image_size=args.image_size)
     path = bench.write_results(results, args.out)
     print(bench.format_summary(results))
     print("wrote %s" % path)
@@ -660,12 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser(
-        "bench", help="run the fleet-scale performance benchmark harness")
-    bench.add_argument("--devices", type=int, default=None,
-                       help="fleet size for the columnar fleet_scale "
-                            "campaign; hydrated engine comparisons "
-                            "cap at 200 (default: 50 hydrated, "
-                            "10000 columnar)")
+        "bench", help="run the fleet performance benchmark harness")
+    bench.add_argument("--devices", type=int, default=50,
+                       help="fleet size of the benchmark campaign "
+                            "(default: 50)")
     bench.add_argument("--image-size", type=int, default=24 * 1024,
                        help="firmware image size in bytes (default: 24576)")
     bench.add_argument("--out", default="BENCH_fleet.json",

@@ -143,23 +143,12 @@ def validate_data(kind: str, version: int,
             errors += _require(data, ["sha256", "ecdsa_verify",
                                       "delta_generation", "campaign",
                                       "crypto_stats", "server_stats",
-                                      "metrics", "fleet_scale"], kind)
+                                      "metrics"], kind)
             campaign = data.get("campaign")
             if isinstance(campaign, dict) \
                     and campaign.get("reports_identical") is not True:
                 errors.append("bench campaign reports diverged between "
                               "engine configurations")
-            fleet_scale = data.get("fleet_scale")
-            if isinstance(fleet_scale, dict):
-                errors += ["bench fleet_scale missing key %r" % key
-                           for key in ("devices", "devices_per_s",
-                                       "peak_rss_kb",
-                                       "columnar_bytes_per_row")
-                           if key not in fleet_scale]
-                if fleet_scale.get("sampled_parity") is not True:
-                    errors.append("bench fleet_scale sampled "
-                                  "per-device entries diverged "
-                                  "from the hydrated path")
         if "server" in data:
             errors += _server_section_errors(data.get("server"))
     elif kind == "delta":

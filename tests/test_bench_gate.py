@@ -119,28 +119,51 @@ def test_delta_workload_mismatch_demands_a_fresh_baseline():
 
 
 def test_delta_timings_are_the_median_of_repeats(monkeypatch):
-    """One slow cold pass moves no gated delta_generation timing."""
+    """One slow pass moves no gated delta_generation timing."""
     import types
 
-    diff_runs = [0.5] + [0.1] * (bench.DELTA_REPEATS - 1)
-    lzss_runs = [0.2] + [0.02] * (bench.DELTA_REPEATS - 1)
-    ticks, now = [], 0.0
-    for diff_s, lzss_s in zip(diff_runs, lzss_runs):
-        ticks += [now, now + diff_s, now + diff_s, now + diff_s + lzss_s]
-        now += diff_s + lzss_s
-    clock = iter(ticks)
+    clock = iter([0.0, 0.1, 0.1, 0.12])    # this call's own pass
     monkeypatch.setattr(bench, "time", types.SimpleNamespace(
         perf_counter=lambda: next(clock)))
     monkeypatch.setattr(bench, "bsdiff_diff", lambda old, new: b"patch")
     monkeypatch.setattr(bench, "lzss_compress", lambda data: b"delta")
 
-    result = bench.bench_delta(image_size=1024)
-    assert bench.DELTA_REPEATS >= 5
-    assert result["repeats"] == bench.DELTA_REPEATS
+    result = bench.bench_delta(
+        image_size=1024,
+        earlier_runs=[(0.5, 0.2), (0.1, 0.02), (0.1, 0.02)])
+    assert result["repeats"] == 4
     assert result["bsdiff_seconds"] == pytest.approx(0.1)
     assert result["lzss_seconds"] == pytest.approx(0.02)
     assert result["total_seconds"] == pytest.approx(0.12)
-    assert next(clock, None) is None       # every repeat was timed
+    assert next(clock, None) is None       # the own pass was timed
+
+
+def test_run_all_times_a_delta_pass_after_every_section(monkeypatch):
+    """The delta passes are spread across the bench run, not taken
+    back to back."""
+    calls = []
+
+    def section(name, value):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return dict(value)
+        return run
+
+    def time_delta(old, new):
+        calls.append("delta-pass")
+        return b"patch", b"delta", 0.1, 0.02
+
+    monkeypatch.setattr(bench, "_delta_pair", lambda size: (b"", b""))
+    monkeypatch.setattr(bench, "_time_delta", time_delta)
+    monkeypatch.setattr(bench, "bench_campaign", section("campaign", {
+        "crypto_stats": {}, "server_stats": {}, "metrics": {}}))
+    monkeypatch.setattr(bench, "bench_sha256", section("sha256", {}))
+    monkeypatch.setattr(bench, "bench_verify", section("verify", {}))
+
+    results = bench.run_all(device_count=2, image_size=1024)
+    assert calls == ["campaign", "delta-pass", "sha256", "delta-pass",
+                     "verify", "delta-pass", "delta-pass"]
+    assert results["delta_generation"]["repeats"] == 4
 
 
 def test_baseline_from_another_host_demands_a_fresh_baseline():
@@ -163,67 +186,6 @@ def test_baseline_from_the_same_host_is_gated_normally():
     problems = compare_to_baseline(fresh, base)
     assert len(problems) == 1
     assert "fast_serial_seconds regressed" in problems[0]
-
-
-def synthetic_scale(devices=10_000, image_bytes=24576,
-                    devices_per_s=5000.0, peak_rss_kb=250_000, **kwargs):
-    """A document carrying the columnar fleet_scale section."""
-    doc = synthetic_full(**kwargs)
-    doc["fleet_scale"] = {
-        "devices": devices,
-        "image_bytes": image_bytes,
-        "devices_per_s": devices_per_s,
-        "peak_rss_kb": peak_rss_kb,
-        "columnar_bytes_per_row": 86,
-        "sampled_parity": True,
-    }
-    return doc
-
-
-def test_fleet_scale_section_skipped_when_absent():
-    assert compare_to_baseline(synthetic_scale(), synthetic_full()) == []
-    assert compare_to_baseline(synthetic_full(), synthetic_scale()) == []
-
-
-def test_fleet_scale_throughput_drop_is_named():
-    """devices_per_s gates in the *inverted* direction: higher is
-    better, so a >20% drop fails."""
-    fresh = synthetic_scale(devices_per_s=5000.0 * 0.7)
-    problems = compare_to_baseline(fresh, synthetic_scale())
-    assert len(problems) == 1
-    assert "fleet_scale devices_per_s regressed" in problems[0]
-    assert "-30%" in problems[0]
-    # Within tolerance (or faster) passes.
-    assert compare_to_baseline(synthetic_scale(devices_per_s=5000 * 0.85),
-                               synthetic_scale()) == []
-    assert compare_to_baseline(synthetic_scale(devices_per_s=9999.0),
-                               synthetic_scale()) == []
-
-
-def test_fleet_scale_rss_growth_is_named():
-    """peak_rss_kb gates lower-is-better like the wall-clock metrics."""
-    fresh = synthetic_scale(peak_rss_kb=int(250_000 * 1.5))
-    problems = compare_to_baseline(fresh, synthetic_scale())
-    assert len(problems) == 1
-    assert "fleet_scale peak_rss_kb regressed" in problems[0]
-    assert compare_to_baseline(synthetic_scale(peak_rss_kb=100_000),
-                               synthetic_scale()) == []
-
-
-def test_fleet_scale_workload_mismatch_demands_a_fresh_baseline():
-    problems = compare_to_baseline(synthetic_scale(devices=500),
-                                   synthetic_scale())
-    assert len(problems) == 1
-    assert "fleet_scale baseline" in problems[0]
-    assert "regenerate the baseline" in problems[0]
-
-
-def test_fleet_scale_missing_metrics_are_reported():
-    broken = synthetic_scale()
-    del broken["fleet_scale"]["devices_per_s"]
-    problems = compare_to_baseline(synthetic_scale(), broken)
-    assert problems == ["baseline has no usable fleet_scale "
-                        "'devices_per_s'"]
 
 
 # -- the swarm-bench `server` section (bench schema v5) -----------------------
@@ -317,7 +279,7 @@ def test_mixed_kind_artifacts_keep_the_legacy_error():
 @pytest.fixture()
 def fake_bench_run(monkeypatch):
     """Stub the expensive harness; ``cli bench`` still writes/gates."""
-    def run_all(device_count, image_size, scale_devices=None):
+    def run_all(device_count, image_size):
         return synthetic(devices=device_count, image_bytes=image_size)
 
     def write_results(results, path):

@@ -140,31 +140,6 @@ def test_validate_rejects_older_bench_schema():
     assert "regenerate" in errors[0]
 
 
-def test_validate_bench_requires_fleet_scale():
-    errors = report.validate_data("bench", 6, {"campaign": {}})
-    assert "bench report missing key 'fleet_scale'" in errors
-
-
-def test_validate_bench_checks_fleet_scale_shape():
-    data = {
-        "sha256": {}, "ecdsa_verify": {}, "delta_generation": {},
-        "campaign": {"reports_identical": True},
-        "crypto_stats": {}, "server_stats": {}, "metrics": {},
-        "fleet_scale": {"devices": 10_000, "devices_per_s": 5000.0,
-                        "sampled_parity": False},
-    }
-    errors = report.validate_data("bench", 6, data)
-    assert "bench fleet_scale missing key 'peak_rss_kb'" in errors
-    assert ("bench fleet_scale missing key "
-            "'columnar_bytes_per_row'") in errors
-    assert any("diverged from the hydrated path" in e for e in errors)
-
-    data["fleet_scale"].update(peak_rss_kb=250_000,
-                               columnar_bytes_per_row=86,
-                               sampled_parity=True)
-    assert report.validate_data("bench", 6, data) == []
-
-
 @pytest.mark.trace
 def test_trace_pull_transport_nests_too(tmp_path):
     """Heavier opt-in run: the pull transport on a larger image."""

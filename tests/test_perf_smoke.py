@@ -38,6 +38,13 @@ def test_campaign_configurations_report_identically_at_smoke_size():
     assert result["reports_identical"] is True
     for label in ("reference_serial", "fast_serial"):
         assert result["%s_seconds" % label] > 0.0
+    # Each device's agent and bootloader check both signatures.  The
+    # vendor signature is one for the whole fleet, so the fast engine
+    # verifies it once; each server signature binds its device's
+    # token, so it is verified once per device.
+    stats = result["crypto_stats"]["fast_serial"]
+    assert stats["verify_calls"] == 4 * 4
+    assert stats["verify_calls"] - stats["verify_cache_hits"] == 1 + 4
 
 
 def test_run_delta_document_validates():
