@@ -143,7 +143,7 @@ class _P256:
         x, y, z = jac
         if z == 0:
             return INFINITY
-        z_inv = pow(z, _P - 2, _P)
+        z_inv = pow(z, -1, _P)
         z_inv2 = (z_inv * z_inv) % _P
         return Point((x * z_inv2) % _P, (y * z_inv2 * z_inv) % _P)
 
@@ -232,13 +232,13 @@ def _batch_to_affine(
     Montgomery's trick: invert the product of all z coordinates once,
     then peel per-point inverses off with multiplications.  Building a
     fixed-window table needs ~1000 normalisations; doing them naively
-    would cost ~1000 exponentiations mod p.
+    would cost ~1000 modular inversions.
     """
     zs = [z for (_, _, z) in jacs]
     prefix = [1] * (len(zs) + 1)
     for i, z in enumerate(zs):
         prefix[i + 1] = (prefix[i] * z) % _P
-    inv_all = pow(prefix[-1], _P - 2, _P)
+    inv_all = pow(prefix[-1], -1, _P)
     affine: List[Tuple[int, int]] = [(0, 0)] * len(jacs)
     for i in range(len(jacs) - 1, -1, -1):
         x, y, z = jacs[i]

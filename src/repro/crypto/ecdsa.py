@@ -125,7 +125,7 @@ class PrivateKey:
             if r == 0:
                 digest = engine.sha256(digest)
                 continue
-            k_inv = pow(k, P256.n - 2, P256.n)
+            k_inv = pow(k, -1, P256.n)
             s = (k_inv * (e + r * self.scalar)) % P256.n
             if s == 0:
                 digest = engine.sha256(digest)

@@ -244,12 +244,13 @@ class CryptoEngine:
 def _verify_scalars(r: int, s: int, digest: bytes) -> Tuple[int, int]:
     n = P256.n
     e = int.from_bytes(digest, "big") % n
-    w = pow(s, n - 2, n)
+    w = pow(s, -1, n)
     return (e * w) % n, (r * w) % n
 
 
 class ReferenceEngine(CryptoEngine):
-    """The seed's from-scratch code paths, unchanged."""
+    """From-scratch SHA-256 and HMAC, table-free point multiplication
+    and no caches: the reference every other engine must match."""
 
     name = "reference"
 

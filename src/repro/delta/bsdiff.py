@@ -38,7 +38,7 @@ try:  # numpy accelerates the match-extension kernels; optional
 except ImportError:  # pragma: no cover - environment-dependent
     _np = None
 
-from .suffix import SuffixIndex, build_suffix_array, longest_match
+from .suffix import SuffixIndex
 
 __all__ = ["diff", "Control", "parse_patch", "PatchFormatError", "MAGIC"]
 
@@ -165,8 +165,7 @@ def diff(old: bytes, new: bytes) -> bytes:
     """
     old = bytes(old)
     new = bytes(new)
-    index = SuffixIndex(old)
-    search = index.search
+    search = SuffixIndex(old).searcher(new, 4096)
     out = bytearray(_HEADER.pack(MAGIC, len(new)))
 
     if _np is not None:
@@ -188,10 +187,11 @@ def diff(old: bytes, new: bytes) -> bytes:
         scan += match_len
         scsc = scan
         while scan < n_new:
-            # The match target is capped: very long identical regions are
-            # simply split across successive records (24 B overhead each),
-            # which keeps every suffix-array comparison cheap.
-            pos, match_len = search(new, scan, 4096)
+            # The match target is capped (see `searcher` above): very
+            # long identical regions are simply split across successive
+            # records (24 B overhead each), which keeps every
+            # suffix-array comparison cheap.
+            pos, match_len = search(scan)
             stop = scan + match_len
             if old_np is not None and stop - scsc >= _VECTOR_MIN:
                 # scsc + delta == scsc + last_pos - last_scan >= last_pos,

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 from ..core import UpdateServer
 from ..net import Link, PullTransport, PushTransport, UpdateOutcome
 from ..net.transports import Interceptor, TransportRetryPolicy
-from ..obs.health import DeviceSample
+from ..obs.health import DeviceSample, interrupted_phases
 from ..obs.slo import Action, FleetTelemetry, WaveVerdict
 from ..sim.device import SimulatedDevice
 from .budget import CAUTION_TRANSPORT_RETRY, RetryGovernor
@@ -194,18 +194,6 @@ class CampaignReport:
             "total_energy_mj": self.total_energy_mj,
             "wall_clock_seconds": self.wall_clock_seconds,
         }
-
-
-def _post_mortem_phases(record: DeviceRecord) -> Dict[str, int]:
-    """Interruption counts per lifecycle phase from the device's black
-    box, as the campaign journal records them."""
-    phases: Dict[str, int] = {}
-    blackbox = getattr(record.device, "blackbox", None)
-    if blackbox is not None:
-        for interruption in blackbox.post_mortem()["interruptions"]:
-            phase = interruption["phase"]
-            phases[phase] = phases.get(phase, 0) + 1
-    return phases
 
 
 class Campaign:
@@ -630,7 +618,7 @@ class Campaign:
             update_seconds=(outcome.total_seconds if outcome else 0.0),
             bytes_over_air=(outcome.bytes_over_air if outcome else 0),
             energy_mj=(outcome.total_energy_mj if outcome else 0.0),
-            interrupted_phases=_post_mortem_phases(record),
+            interrupted_phases=interrupted_phases(record.device),
             governor=self._governor_snapshot())
 
     def _governor_snapshot(self) -> Optional[Dict[str, object]]:

@@ -28,6 +28,7 @@ experiments it narrates.
 
 from __future__ import annotations
 
+import binascii
 import math
 import struct
 from typing import Any, Callable, Dict, List, Optional
@@ -82,13 +83,7 @@ _EXPECTED_BEFORE_BOOT = ("ready_to_reboot", "boot_selected",
 
 def _crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF)."""
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) \
-                & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 class BlackBoxRecord:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["DeviceSample", "Anomaly", "HealthThresholds", "HealthReport",
-           "robust_zscores", "analyze_wave", "score_device"]
+           "interrupted_phases", "robust_zscores", "analyze_wave",
+           "score_device"]
 
 #: Scale factor making MAD consistent with the stddev of a normal
 #: distribution (the conventional 0.6745 = Φ⁻¹(0.75)).
@@ -61,6 +62,18 @@ def robust_zscores(values: Sequence[float]) -> List[float]:
     return [_MAD_SCALE * (value - center) / mad for value in values]
 
 
+def interrupted_phases(device: Any) -> Dict[str, int]:
+    """Interruption counts per lifecycle phase from ``device``'s black
+    box post-mortem; empty for a device without a black box."""
+    phases: Dict[str, int] = {}
+    blackbox = getattr(device, "blackbox", None)
+    if blackbox is not None:
+        for interruption in blackbox.post_mortem()["interruptions"]:
+            phase = interruption["phase"]
+            phases[phase] = phases.get(phase, 0) + 1
+    return phases
+
+
 @dataclass
 class DeviceSample:
     """One device's wave-level telemetry, flattened for analysis."""
@@ -91,12 +104,6 @@ class DeviceSample:
         pure reads, no virtual-clock side effects.
         """
         outcome = record.last_outcome
-        phases: Dict[str, int] = {}
-        blackbox = getattr(record.device, "blackbox", None)
-        if blackbox is not None:
-            for interruption in blackbox.post_mortem()["interruptions"]:
-                phase = interruption["phase"]
-                phases[phase] = phases.get(phase, 0) + 1
         return cls(
             name=record.name,
             wave=wave,
@@ -106,7 +113,7 @@ class DeviceSample:
             energy_mj=(outcome.total_energy_mj if outcome else 0.0),
             interruptions=record.interruptions,
             attempts=record.attempts,
-            interrupted_phases=phases,
+            interrupted_phases=interrupted_phases(record.device),
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -199,7 +199,7 @@ def bench_delta(image_size: int = DELTA_IMAGE_BYTES,
 def bench_delta_fastpath(image_size: int = 96 * 1024) -> Dict[str, object]:
     """Vectorised vs. pure-Python delta generation on one firmware pair.
 
-    The numpy fast path (suffix-array construction, bucket-boundary
+    The numpy fast path (suffix-array construction, batched
     match search, hash-chain LZSS) and the preserved pure-Python
     reference path are run over the *same* pair; the patch and the
     compressed delta must come out byte-identical, and both are

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import compress, decompress
+from repro.delta import bsdiff, suffix
 from repro.delta import (
     MAGIC,
     PatchFormatError,
@@ -17,6 +18,27 @@ from repro.delta import (
     parse_patch,
     patch,
 )
+
+
+@pytest.mark.parametrize("size", [8 * 1024, 24 * 1024])
+@pytest.mark.parametrize("change", ["identical", "app_functionality_change",
+                                    "os_version_change"])
+def test_numpy_diff_matches_the_pure_python_reference(size, change):
+    from repro.workload import FirmwareGenerator
+
+    generator = FirmwareGenerator(seed=b"bsdiff-parity")
+    old = generator.firmware(size, image_id=1)
+    new = (old if change == "identical"
+           else getattr(generator, change)(old, revision=2))
+    fast = diff(old, new)
+    saved = suffix._np, bsdiff._np
+    suffix._np = bsdiff._np = None
+    try:
+        reference = diff(old, new)
+    finally:
+        suffix._np, bsdiff._np = saved
+    assert fast == reference
+    assert patch(old, fast) == new
 
 
 def mutate(data: bytes, count: int, seed: int = 0) -> bytes:

@@ -14,6 +14,7 @@ from repro.crypto import (
     SignatureError,
     generate_keypair,
 )
+from repro.crypto.engine import available_engines
 
 # RFC 6979 A.2.5 (P-256, SHA-256, message "sample").
 RFC6979_KEY = int(
@@ -32,10 +33,12 @@ def keypair():
 
 def test_rfc6979_vector_r_matches():
     key = PrivateKey(RFC6979_KEY)
-    signature = key.sign(b"sample")
-    assert signature.r == RFC6979_R
-    # The implementation normalises to low-s; the vector's s is high.
-    assert signature.s in (RFC6979_S, P256.n - RFC6979_S)
+    for engine in available_engines().values():
+        signature = key.sign(b"sample", engine)
+        assert signature.r == RFC6979_R
+        # The implementation normalises to low-s; the vector's s is high.
+        assert RFC6979_S > P256.n // 2
+        assert signature.s == P256.n - RFC6979_S
 
 
 def test_rfc6979_public_key_vector():

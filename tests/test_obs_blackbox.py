@@ -1,11 +1,35 @@
 """Black-box journal tests: persistence, ring discipline, post-mortems."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultKind, FaultPoint
 from repro.memory import FlashMemory
-from repro.obs.blackbox import RECORD_SIZE, BlackBox
+from repro.obs.blackbox import RECORD_SIZE, BlackBox, _crc16
 from repro.tools import chaos
+
+
+def bitwise_crc16(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE one bit at a time: poly 0x1021, init 0xFFFF."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) \
+                & 0xFFFF
+    return crc
+
+
+def test_crc16_check_value():
+    assert _crc16(b"123456789") == 0x29B1
+    assert bitwise_crc16(b"123456789") == 0x29B1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64))
+def test_crc16_matches_the_bitwise_reference(data):
+    assert _crc16(data) == bitwise_crc16(data)
 
 
 def small_flash(pages=2, page_size=4 * RECORD_SIZE):

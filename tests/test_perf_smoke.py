@@ -31,6 +31,38 @@ def test_delta_fastpath_is_byte_identical_at_smoke_size():
         assert result[side]["total_seconds"] >= 0.0
 
 
+def test_batched_match_search_rarely_falls_back(monkeypatch):
+    """On the perfbench campaign's v1→v2 pair (24 KiB, OS change) at most
+    2% of the positions bsdiff's scan loop visits take the scalar
+    fallback of the batched match search (a deterministic count)."""
+    pytest.importorskip("numpy")
+    from repro.delta import SuffixIndex, diff
+    from repro.workload import FirmwareGenerator
+
+    counts = {"visited": 0, "fallback": 0}
+    searcher, resolve = SuffixIndex.searcher, SuffixIndex._resolve
+
+    def counting_searcher(self, new, cap):
+        find = searcher(self, new, cap)
+
+        def counted(scan):
+            counts["visited"] += 1
+            return find(scan)
+        return counted
+
+    def counting_resolve(self, *args):
+        counts["fallback"] += 1
+        return resolve(self, *args)
+
+    monkeypatch.setattr(SuffixIndex, "searcher", counting_searcher)
+    monkeypatch.setattr(SuffixIndex, "_resolve", counting_resolve)
+    generator = FirmwareGenerator(seed=b"perfbench-campaign")
+    old = generator.firmware(24 * 1024, image_id=1)
+    diff(old, generator.os_version_change(old, revision=2))
+    assert counts["visited"] > 1000
+    assert counts["fallback"] <= 0.02 * counts["visited"]
+
+
 def test_campaign_configurations_report_identically_at_smoke_size():
     """The reference and fast engines drive the same campaign to the
     same report; bench_campaign raises before returning otherwise."""

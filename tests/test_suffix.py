@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.delta import suffix
 from repro.delta.suffix import (
+    SuffixIndex,
     _build_python,
     build_suffix_array,
     longest_match,
+    longest_match_at,
 )
 
 
@@ -98,3 +101,53 @@ def len_common(a: bytes, b: bytes) -> int:
             break
         count += 1
     return count
+
+
+@st.composite
+def search_cases(draw):
+    """An ``old`` just past the numpy threshold (or a few hundred bytes),
+    from a small alphabet so 7-byte ties are common, and a ``new`` made
+    of slices of ``old`` and fresh bytes, long enough to span blocks."""
+    alphabet = draw(st.sampled_from([b"\x00", b"ab", b"a\x00\xff", b"xyz01"]))
+    symbols = st.sampled_from(list(alphabet)) | st.integers(0, 255)
+    old = bytes(draw(st.lists(symbols, min_size=65, max_size=draw(
+        st.sampled_from([70, 400])))))
+    new = bytearray()
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            start = draw(st.integers(0, len(old) - 1))
+            new += old[start:start + draw(st.integers(1, 80))]
+        else:
+            new += bytes(draw(st.lists(symbols, min_size=1, max_size=60)))
+    cap = draw(st.sampled_from([1, 2, 6, 7, 8, 13]) | st.integers(1, 4096))
+    return old, bytes(new), cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(search_cases(), st.randoms(use_true_random=False))
+def test_batched_search_matches_scalar_search_everywhere(case, rng):
+    """The numpy block search, the numpy index's scalar search, the
+    pure-Python index and the plain binary search agree at every scan
+    position — visited in order, then in a jumping order."""
+    old, new, cap = case
+    index = SuffixIndex(old)
+    saved = suffix._np
+    suffix._np = None
+    try:
+        reference = SuffixIndex(old)
+    finally:
+        suffix._np = saved
+    sa = list(index.sa)
+    assert sa == reference.sa
+    expected = [longest_match_at(old, sa, new, scan, cap)
+                for scan in range(len(new))]
+    assert [index.search(new, scan, cap)
+            for scan in range(len(new))] == expected
+    assert [reference.search(new, scan, cap)
+            for scan in range(len(new))] == expected
+    find = index.searcher(new, cap)
+    assert [find(scan) for scan in range(len(new))] == expected
+    jumps = [rng.randrange(len(new)) for _ in range(20)]
+    find = index.searcher(new, cap)
+    assert [find(scan) for scan in jumps] == [expected[scan]
+                                              for scan in jumps]
